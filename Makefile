@@ -3,7 +3,8 @@
 # otherwise), build, the full test suite under the race detector (the
 # parallel branch-and-bound equivalence tests depend on it), a fuzz smoke,
 # a serve smoke (start the HTTP API, exercise it, SIGTERM, clean drain),
-# and a single-shot E3 benchmark smoke to catch gross solver regressions.
+# a single-shot E3 benchmark smoke to catch gross solver regressions, and a
+# build-and-short-test smoke of the perfbench/ benchmark module.
 
 GO ?= go
 BENCH ?= BENCH_PR9.json
@@ -14,9 +15,9 @@ FUZZTIME ?= 5s
 SERVE_ADDR ?= 127.0.0.1:8643
 STRESS_N ?= 1000
 
-.PHONY: ci lint vet build test race race-solver kernel-equivalence decomp-equivalence certify stress stress-smoke bench-smoke fuzz-smoke serve-smoke sweep-equivalence load-smoke loadbench golden-update bench delta-equivalence state-smoke statebench campaign-smoke campaignbench bench-compare bench-compare-advisory
+.PHONY: ci lint vet build test race race-solver kernel-equivalence decomp-equivalence certify stress stress-smoke bench-smoke fuzz-smoke serve-smoke sweep-equivalence load-smoke loadbench golden-update bench delta-equivalence state-smoke statebench campaign-smoke campaignbench bench-compare bench-compare-advisory perfbench-smoke
 
-ci: lint build race kernel-equivalence decomp-equivalence sweep-equivalence delta-equivalence certify stress-smoke bench-smoke fuzz-smoke serve-smoke load-smoke state-smoke campaign-smoke bench-compare-advisory
+ci: lint build race kernel-equivalence decomp-equivalence sweep-equivalence delta-equivalence certify stress-smoke bench-smoke perfbench-smoke fuzz-smoke serve-smoke load-smoke state-smoke campaign-smoke bench-compare-advisory
 
 # staticcheck is preferred when it is on PATH; plain go vet is the fallback
 # so CI works on minimal toolchain images.
@@ -132,6 +133,12 @@ decomp-equivalence:
 
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkE3' -benchtime=1x .
+
+# The end-to-end benchmark (perfbench/) is its own module, so `go build
+# ./...` never reaches it: build it and run its short tests, so a change to
+# the core API cannot break the benchmark unnoticed.
+perfbench-smoke:
+	cd perfbench && $(GO) test -short .
 
 # Short fuzz pass cross-checking branch-and-bound against exhaustive
 # enumeration (both kernels) and the sparse LP kernel against the dense

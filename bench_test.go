@@ -203,6 +203,22 @@ func BenchmarkE7Kernels(b *testing.B) {
 	}
 }
 
+// BenchmarkMidMinCost measures one cold mid-size MinCost solve (350
+// monitors x 280 attacks, global target 0.9 clamped to the achievable
+// coverage, one worker, default kernel): the instance class whose bases,
+// roughly 600 rows, run the LU kernel with hyper-sparse solves and the
+// bound-flipping ratio test on nearly every pivot.
+func BenchmarkMidMinCost(b *testing.B) {
+	idx := synthIndex(b, 350, 280)
+	opt := core.NewOptimizer(idx, core.WithWorkers(1), core.WithClampToAchievable())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := opt.MinCost(core.CoverageTargets{Global: 0.9}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkE7ScalabilityParallel measures the parallel branch-and-bound on
 // the two hardest E7 sizes across worker counts. On a single-CPU host the
 // extra workers mostly measure coordination overhead; on multi-core hosts

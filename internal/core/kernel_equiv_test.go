@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"secmon/internal/casestudy"
@@ -174,4 +175,61 @@ func synthIndex(t *testing.T, cfg synth.Config) *model.Index {
 		t.Fatalf("index: %v", err)
 	}
 	return idx
+}
+
+// TestLUKernelCountersPinned pins the LU kernel's pivot sequence on E7
+// (400x100, LU pinned) and mid-size MinCost (350x280, target 0.9 clamped,
+// auto kernel) solves to counts and objectives recorded before the closure
+// ordering and the bound-flipping ratio test stopped fully sorting: those
+// are pure speed changes, so any drift here means the pivots changed. The
+// counts are exact floating-point outcomes; other architectures may fuse
+// multiply-adds and pivot differently, so they are checked on amd64 only.
+func TestLUKernelCountersPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("pinned pivot counts were recorded on amd64")
+	}
+	e7 := synthIndex(t, synth.Config{Seed: 1, Monitors: 400, Attacks: 100})
+	for _, c := range []struct {
+		name                         string
+		seed                         int64
+		mincost                      bool
+		objective                    float64
+		iters, flips, updates, nodes int
+	}{
+		{"e7-maxutil", 0, false, 0.9946432839388145, 1008, 0, 772, 1},
+		{"e7-mincost", 0, true, 5508.649999999995, 540, 519, 540, 1},
+		{"mid-mincost-s1", 1, true, 6099.129999999997, 1244, 1979, 1244, 1},
+		{"mid-mincost-s2", 2, true, 5795.630000000001, 1315, 2096, 1315, 1},
+		{"mid-mincost-s3", 3, true, 6592.400000000002, 1562, 2082, 1562, 1},
+	} {
+		var res *Result
+		var err error
+		if c.seed == 0 {
+			opts := []Option{WithWorkers(1), WithKernel(lp.KernelLU)}
+			if c.mincost {
+				res, err = NewOptimizer(e7, append(opts, WithClampToAchievable())...).
+					MinCost(CoverageTargets{Global: 0.9})
+			} else {
+				res, err = NewOptimizer(e7, opts...).MaxUtility(e7.System().TotalMonitorCost() * 0.3)
+			}
+		} else {
+			idx := synthIndex(t, synth.Config{Seed: c.seed, Monitors: 350, Attacks: 280})
+			res, err = NewOptimizer(idx, WithWorkers(1), WithClampToAchievable()).
+				MinCost(CoverageTargets{Global: 0.9})
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		obj := res.Utility
+		if c.mincost {
+			obj = res.Cost
+		}
+		st := res.Stats
+		if obj != c.objective || st.LPIterations != c.iters || st.BoundFlips != c.flips ||
+			st.Updates != c.updates || st.Nodes != c.nodes {
+			t.Errorf("%s: objective %v, %d LP iterations, %d bound flips, %d updates, %d nodes; pinned %v, %d, %d, %d, %d",
+				c.name, obj, st.LPIterations, st.BoundFlips, st.Updates, st.Nodes,
+				c.objective, c.iters, c.flips, c.updates, c.nodes)
+		}
+	}
 }

@@ -1299,17 +1299,17 @@ func (s *search) finish(status Status) *Solution {
 // using the best open node bound to report the optimality gap.
 func (s *search) finishWithBound(status Status, openBound float64) *Solution {
 	sol := s.finish(status)
-	bound := openBound
-	if s.hasInc && s.incObj > bound {
-		bound = s.incObj
-	}
-	if math.IsInf(bound, 0) {
+	if math.IsInf(openBound, 0) {
 		// Stopped before the root relaxation proved anything. A seeded
 		// incumbent (WithIncumbent) can exist here, but its objective is not
 		// a proving-side bound, so finish's optimal-claim values must go.
 		sol.BestBound = 0
 		sol.BoundKnown = false
 		return sol
+	}
+	bound := openBound
+	if s.hasInc && s.incObj > bound {
+		bound = s.incObj
 	}
 	sol.BestBound = s.fromMax(bound)
 	sol.BoundKnown = true

@@ -538,15 +538,16 @@ func (ps *parallelSearch) assemble() *Solution {
 			// root relaxation is still a proven bound.
 			bound = pr.bound
 		}
-		if ps.hasInc && ps.incObj > bound {
-			bound = ps.incObj
-		}
 		if math.IsInf(bound, 0) {
 			// Stopped before the root proved anything (possible with a seeded
-			// incumbent): the incumbent objective is not a proving-side bound.
+			// incumbent): the incumbent objective is not a proving-side bound,
+			// so the check reads the open bound before the incumbent joins it.
 			sol.BestBound = 0
 			sol.BoundKnown = false
 		} else {
+			if ps.hasInc && ps.incObj > bound {
+				bound = ps.incObj
+			}
 			sol.BestBound = fromMaxForm(ps.maximize, bound)
 			sol.BoundKnown = true
 			if ps.hasInc {

@@ -61,6 +61,26 @@ func TestWithIncumbentSurvivesPreRootCancel(t *testing.T) {
 	}
 }
 
+// TestPreRootCancelBoundUnknownAtAnyWorkerCount repeats the pre-root
+// cancellation with the worker count pinned, so both the sequential and the
+// parallel search's limit paths are covered whatever GOMAXPROCS is: the
+// seeded incumbent survives, but no bound may be claimed.
+func TestPreRootCancelBoundUnknownAtAnyWorkerCount(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		p, _ := reuseKnapsack(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		sol, err := p.Solve(WithContext(ctx), WithWorkers(w), WithIncumbent([]float64{0, 1, 0}))
+		if err != nil {
+			t.Fatalf("workers %d: solve: %v", w, err)
+		}
+		if sol.Status != StatusFeasible || sol.Objective != 4 || sol.BoundKnown {
+			t.Errorf("workers %d: status %v objective %v BoundKnown %v (BestBound %v); want feasible 4 with no bound",
+				w, sol.Status, sol.Objective, sol.BoundKnown, sol.BestBound)
+		}
+	}
+}
+
 func TestWorkspaceAndRootBasisReuse(t *testing.T) {
 	p, vars := reuseKnapsack(t)
 	ws := lp.NewWorkspace()

@@ -51,11 +51,13 @@ const (
 	luMinUpdates = 4
 	// luAutoMinDim is the basis dimension below which an auto-kernel solve
 	// (no explicit WithKernel pin) runs the eta kernel instead of the LU
-	// kernel. Measured on the E7 family: at ~200 rows the eta kernel is
-	// ~1.7x faster (cold Markowitz setup and per-iteration factor walks
-	// dominate tiny bases), at ~400 rows the LU kernel is ~1.2x faster and
-	// pulls further ahead as the eta file's growth compounds. 256 sits in
-	// the measured crossover band.
+	// kernel. Measured on E7 MaxUtility at 30% budget (median of 5 on a
+	// 2-CPU x86-64 container): at 200 monitors x 100 attacks the eta kernel
+	// is ~1.3x faster (24.0 vs 30.7 ms; cold Markowitz setup and
+	// per-iteration factor walks dominate small bases), at 400 x 100 the LU
+	// kernel is ~1.25-1.3x faster (32-37 vs 42-47 ms) and pulls further
+	// ahead as the eta file's growth compounds. 256 sits in the measured
+	// crossover band.
 	luAutoMinDim = 256
 	// luFillGrowth triggers an adaptive refactorization when the live
 	// factor nonzeros exceed this multiple of the post-factorization count.
@@ -63,7 +65,9 @@ const (
 	// luHyperDenom selects the hyper-sparse solve path when
 	// len(pattern)*luHyperDenom < m and the basis has at least
 	// luHyperMinDim rows: below that the reachability closure and its sort
-	// cost more than the dense triangular sweep they avoid.
+	// cost more than the dense triangular sweep they avoid. The same ratio
+	// decides how a closure is ordered (see orderClosure): a small input
+	// pattern can still reach a large share of the factor.
 	luHyperDenom  = 8
 	luHyperMinDim = 64
 	// luSearchCap bounds the Markowitz search: the best pivot among this
@@ -198,6 +202,35 @@ func sortI32ByKey(a []int32, key []int32) {
 	for hi := n - 1; hi > 0; hi-- {
 		a[0], a[hi] = a[hi], a[0]
 		sift(0, hi-1)
+	}
+}
+
+// orderClosure sorts a reachability closure ascending by key (by value when
+// key is nil), in place. Every node of list carries the stamp st in dmark,
+// and order lists all m nodes by ascending key (nil: the identity), so a
+// closure holding at least m/luHyperDenom nodes is ordered by one O(m) scan
+// of the stamps instead of an O(n log n) comparison sort. Keys are distinct,
+// so both give the same order and the solves stay bit-identical.
+func (f *luFactor) orderClosure(list []int32, st int64, order, key []int32) {
+	if len(list)*luHyperDenom < f.m {
+		sortI32ByKey(list, key)
+		return
+	}
+	n := 0
+	if order == nil {
+		for x, d := range f.dmark[:f.m] {
+			if d == st {
+				list[n] = int32(x)
+				n++
+			}
+		}
+		return
+	}
+	for _, x := range order[:f.m] {
+		if f.dmark[x] == st {
+			list[n] = x
+			n++
+		}
 	}
 }
 
@@ -685,7 +718,7 @@ func (f *luFactor) ftran(v, out []float64, nzIn []int32, saveSpike bool) {
 		}
 	}
 	f.stack = stack[:0]
-	sortI32ByKey(reach, f.stepOfRow)
+	f.orderClosure(reach, ds, f.lRow, f.stepOfRow)
 	for _, r := range reach {
 		t := v[r]
 		if t == 0 {
@@ -753,7 +786,7 @@ func (f *luFactor) ftran(v, out []float64, nzIn []int32, saveSpike bool) {
 			}
 		}
 	}
-	sortI32ByKey(slots, nil)
+	f.orderClosure(slots, us, nil, nil)
 	for i := len(slots) - 1; i >= 0; i-- {
 		t := slots[i]
 		sum := v[f.uRow[t]]
@@ -834,7 +867,7 @@ func (f *luFactor) btran(v, out []float64, nzIn []int32) {
 			}
 		}
 	}
-	sortI32ByKey(slots, nil)
+	f.orderClosure(slots, us, nil, nil)
 	f.dstamp++
 	rs := f.dstamp
 	rows := f.reach[:0] // row-space nonzero pattern
@@ -895,7 +928,7 @@ func (f *luFactor) btran(v, out []float64, nzIn []int32) {
 			}
 		}
 	}
-	sortI32ByKey(steps, nil)
+	f.orderClosure(steps, ls, nil, nil)
 	for i := len(steps) - 1; i >= 0; i-- {
 		k := steps[i]
 		sum := out[f.lRow[k]]

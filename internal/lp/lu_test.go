@@ -300,3 +300,234 @@ func TestLUKernelWorkspaceAlternation(t *testing.T) {
 		}
 	}
 }
+
+// randomLUBasis binds a seeded random sparse LP with m rows and 2m
+// structural columns of perCol nonzeros each, and factorizes a basis of
+// about half structural columns (the rest logicals). Structural column j < m
+// has a dominant entry in row j and, when chosen, sits at basis position j,
+// so the basis is diagonally dominant and nonsingular.
+func randomLUBasis(t *testing.T, seed int64, m, perCol int) *spx {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 * m
+	p := NewProblem(Maximize)
+	for j := 0; j < n; j++ {
+		if _, err := p.AddVariable("x", 0, 1, rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := make([][]Term, m)
+	for j := 0; j < n; j++ {
+		for _, i := range rng.Perm(m)[:perCol] {
+			if i != j {
+				rows[i] = append(rows[i], Term{Var: VarID(j), Coeff: float64(1+rng.Intn(9)) / 4})
+			}
+		}
+		if j < m {
+			rows[j] = append(rows[j], Term{Var: VarID(j), Coeff: float64(4*perCol + rng.Intn(9))})
+		}
+	}
+	for i := 0; i < m; i++ {
+		if _, err := p.AddConstraint("c", rows[i], LE, float64(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := options{tolerance: 1e-9, maxIterations: 1000, kernel: KernelLU}
+	s := bindSparse(p, &cfg, NewWorkspace())
+	target := make([]int32, m)
+	for i := range target {
+		target[i] = int32(n + i)
+		if rng.Intn(2) == 0 {
+			target[i] = int32(i)
+		}
+	}
+	if !s.refactor(target) {
+		t.Fatalf("seed %d: factorize rejected a diagonally dominant basis", seed)
+	}
+	return s
+}
+
+// ftranLReach is the size of the L closure a hyper-sparse FTRAN of a
+// vector with pattern nz walks, recomputed from the factor for coverage
+// checks.
+func ftranLReach(f *luFactor, nz []int32) int {
+	seen := make(map[int32]bool)
+	stack := append([]int32(nil), nz...)
+	for _, r := range nz {
+		seen[r] = true
+	}
+	for len(stack) > 0 {
+		r := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		k := f.stepOfRow[r]
+		for idx := f.lStart[k]; idx < f.lStart[k+1]; idx++ {
+			if c := f.lInd[idx]; !seen[c] {
+				seen[c] = true
+				stack = append(stack, c)
+			}
+		}
+	}
+	return len(seen)
+}
+
+// firstBitDiff returns the first index where a and b differ bitwise, or -1.
+func firstBitDiff(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestLUHyperSparseBitwiseDense requires the hyper-sparse FTRAN and BTRAN
+// to return bitwise the same vectors as the dense sweeps, on fresh factors
+// and after Forrest-Tomlin updates (so row etas run), with L and U closures
+// both below and above the m/luHyperDenom size where the closure order
+// switches from a comparison sort to a scan of the stamps.
+func TestLUHyperSparseBitwiseDense(t *testing.T) {
+	const m = 192
+	var smallL, largeL, largeU, withEtas, solves int
+	for seed := int64(1); seed <= 6; seed++ {
+		s := randomLUBasis(t, seed, m, 2+int(seed%3))
+		st := s.st
+		f := &st.luf
+		rng := rand.New(rand.NewSource(seed * 131))
+		inBasis := make(map[int]bool, m)
+		for i := 0; i < m; i++ {
+			inBasis[st.basis[i]] = true
+		}
+		v := make([]float64, m)
+		dense := make([]float64, m)
+		hyper := make([]float64, m)
+		col := make([]float64, m)
+		check := func(label string) {
+			for trial := 0; trial < 24; trial++ {
+				k := 1 + rng.Intn(m/(2*luHyperDenom))
+				nz := make([]int32, 0, k)
+				for _, i := range rng.Perm(m)[:k] {
+					nz = append(nz, int32(i))
+				}
+				vals := make([]float64, k)
+				for i := range vals {
+					vals[i] = rng.Float64()*2 - 1
+				}
+				scatter := func() {
+					for i, r := range nz {
+						v[r] = vals[i]
+					}
+				}
+				scatter()
+				f.ftran(v, dense, nil, false)
+				scatter()
+				f.ftran(v, hyper, nz, false)
+				if i := firstBitDiff(dense, hyper); i >= 0 {
+					t.Fatalf("seed %d %s: hyper ftran[%d] = %v, dense %v", seed, label, i, hyper[i], dense[i])
+				}
+				if ftranLReach(f, nz)*luHyperDenom < m {
+					smallL++
+				} else {
+					largeL++
+				}
+				// The U closure holds at least the result's nonzeros.
+				nnz := 0
+				for _, x := range dense {
+					if x != 0 {
+						nnz++
+					}
+				}
+				if nnz*luHyperDenom >= m {
+					largeU++
+				}
+
+				scatter()
+				f.btran(v, dense, nil)
+				f.btran(v, hyper, nz)
+				if i := firstBitDiff(dense, hyper); i >= 0 {
+					t.Fatalf("seed %d %s: hyper btran[%d] = %v, dense %v", seed, label, i, hyper[i], dense[i])
+				}
+				clear(v)
+				solves++
+				if len(f.rRow) > 0 {
+					withEtas++
+				}
+			}
+		}
+		check("fresh factor")
+		for step := 0; step < 40; step++ {
+			q := rng.Intn(s.n)
+			if inBasis[q] || st.mat.colNNZ(q) == 0 {
+				continue
+			}
+			s.ftranColumn(q, col)
+			r, best := -1, 1e-3
+			for i := 0; i < m; i++ {
+				if a := math.Abs(col[i]); a > best {
+					r, best = i, a
+				}
+			}
+			if r < 0 {
+				f.clearSpike()
+				continue
+			}
+			delete(inBasis, st.basis[r])
+			inBasis[q] = true
+			st.basis[r] = q
+			if !f.update(r) {
+				target := make([]int32, m)
+				for i := range target {
+					target[i] = int32(st.basis[i])
+				}
+				if !s.refactor(target) {
+					t.Fatalf("seed %d: refactor after a declined update failed", seed)
+				}
+			}
+			if step%8 == 7 {
+				check("after updates")
+			}
+		}
+	}
+	if smallL == 0 || largeL == 0 || largeU == 0 || withEtas == 0 {
+		t.Fatalf("coverage: L closures %d small / %d large, %d large U closures, %d of %d solves with row etas",
+			smallL, largeL, largeU, withEtas, solves)
+	}
+}
+
+// TestOrderClosureMatchesSort checks the stamp scan against the comparison
+// sort it replaces for large closures: identical order for closures on
+// both sides of the m/luHyperDenom switch, keyed by value and through a
+// permutation.
+func TestOrderClosureMatchesSort(t *testing.T) {
+	const m = 300
+	rng := rand.New(rand.NewSource(5))
+	f := &luFactor{m: m, dmark: make([]int64, m)}
+	order := make([]int32, m)
+	key := make([]int32, m)
+	for k, x := range rng.Perm(m) {
+		order[k] = int32(x)
+		key[x] = int32(k)
+	}
+	for trial := 0; trial < 200; trial++ {
+		size := 1 + rng.Intn(m)
+		if trial%2 == 0 {
+			size = 1 + rng.Intn(m/luHyperDenom)
+		}
+		f.dstamp++
+		list := make([]int32, 0, size)
+		for _, x := range rng.Perm(m)[:size] {
+			f.dmark[x] = f.dstamp
+			list = append(list, int32(x))
+		}
+		for _, perm := range []struct{ order, key []int32 }{{nil, nil}, {order, key}} {
+			got := append([]int32(nil), list...)
+			want := append([]int32(nil), list...)
+			f.orderClosure(got, f.dstamp, perm.order, perm.key)
+			sortI32ByKey(want, perm.key)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d (size %d): order[%d] = %d, sort gives %d", trial, size, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -290,7 +290,7 @@ type sparseState struct {
 	posv   []float64
 	nzbuf  []int32  // input-pattern scratch for ftran/btran
 	target []int32  // renumber/refactor target-basis scratch
-	cands  []bfCand // bound-flipping ratio test candidates, ratio-sorted
+	cands  []bfCand // bound-flipping ratio test candidates, a min-heap
 	flips  []int32  // columns flipped by the current BFRT pivot
 
 	// Reused result storage for WithVolatileSolution solves: one Solution

@@ -300,15 +300,17 @@ func (s *spx) pickEntering(below bool) int {
 
 // pickEnteringBFRT is the bound-flipping (long-step) dual ratio test used by
 // the LU kernel outside Bland mode. Eligible candidates are collected with
-// the same rules as pickEntering and sorted by ratio; walking them in order,
-// a candidate whose box is finite and whose flip leaves the leaving
+// the same rules as pickEntering and visited in ascending (ratio, column)
+// order; a candidate whose box is finite and whose flip leaves the leaving
 // variable's infeasibility positive is recorded in st.flips and skipped —
 // the dual objective keeps improving without spending a pivot — until a
 // blocking candidate becomes the entering column. Among near-tie ratios at
 // the block the largest pivot magnitude wins, matching pickEntering's
 // stability tie-break. If every candidate flips with infeasibility to
 // spare, the dual is unbounded and the primal infeasible: -1 is returned
-// and no flips are recorded.
+// and no flips are recorded. The walk usually stops after a short prefix,
+// so the candidates sit in a min-heap built in O(n) and are popped only as
+// far as the walk goes, instead of being fully sorted.
 func (s *spx) pickEnteringBFRT(r int, below bool) int {
 	const pivTol = 1e-9
 	st := s.st
@@ -343,10 +345,8 @@ func (s *spx) pickEnteringBFRT(r int, below bool) int {
 		cands = append(cands, bfCand{ratio: ratio, j: j32})
 	}
 	st.cands = cands
-	if len(cands) == 0 {
-		return -1
-	}
-	sortBFCands(cands)
+	bfHeapify(cands)
+	pending := cands
 	leave := st.basis[r]
 	var delta float64 // current primal infeasibility of the leaving variable
 	if below {
@@ -354,28 +354,26 @@ func (s *spx) pickEnteringBFRT(r int, below bool) int {
 	} else {
 		delta = st.x[leave] - st.up[leave]
 	}
-	block := -1
-	for idx := range cands {
-		j := int(cands[idx].j)
+	var best bfCand
+	for {
+		if len(pending) == 0 {
+			st.flips = st.flips[:0]
+			return -1
+		}
+		best, pending = bfPop(pending)
+		j := int(best.j)
 		width := st.up[j] - st.lo[j]
 		gain := math.Abs(st.arow[j]) * width
 		if math.IsInf(width, 1) || delta-gain <= s.cfg.tolerance {
-			block = idx
 			break
 		}
-		st.flips = append(st.flips, cands[idx].j)
+		st.flips = append(st.flips, best.j)
 		delta -= gain
 	}
-	if block < 0 {
-		st.flips = st.flips[:0]
-		return -1
-	}
-	best := cands[block]
 	bestAbs := math.Abs(st.arow[best.j])
-	for _, c := range cands[block+1:] {
-		if c.ratio > best.ratio+s.cfg.tolerance {
-			break
-		}
+	for len(pending) > 0 && pending[0].ratio <= best.ratio+s.cfg.tolerance {
+		var c bfCand
+		c, pending = bfPop(pending)
 		if a := math.Abs(st.arow[c.j]); a > bestAbs {
 			best, bestAbs = c, a
 		}
@@ -383,48 +381,45 @@ func (s *spx) pickEnteringBFRT(r int, below bool) int {
 	return int(best.j)
 }
 
-// sortBFCands sorts ratio-test candidates by ascending ratio, breaking ties
-// on column index for determinism. Insertion sort below a small cutoff,
-// sift-down heapsort above it; no allocation either way.
-func sortBFCands(a []bfCand) {
-	less := func(x, y bfCand) bool {
-		return x.ratio < y.ratio || (x.ratio == y.ratio && x.j < y.j)
+// bfLess orders ratio-test candidates by ascending ratio, breaking ties on
+// column index so the visiting order is deterministic.
+func bfLess(x, y bfCand) bool {
+	return x.ratio < y.ratio || (x.ratio == y.ratio && x.j < y.j)
+}
+
+// bfHeapify arranges h into a bfLess min-heap in place, in O(len(h)).
+func bfHeapify(h []bfCand) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		bfSiftDown(h, i)
 	}
-	if len(a) <= 24 {
-		for i := 1; i < len(a); i++ {
-			v := a[i]
-			j := i - 1
-			for j >= 0 && less(v, a[j]) {
-				a[j+1] = a[j]
-				j--
-			}
-			a[j+1] = v
+}
+
+// bfPop removes the least candidate from the min-heap h and returns it with
+// the shrunk heap.
+func bfPop(h []bfCand) (bfCand, []bfCand) {
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	bfSiftDown(h, 0)
+	return top, h
+}
+
+// bfSiftDown moves h[root] down until neither child is less than it.
+func bfSiftDown(h []bfCand, root int) {
+	for {
+		c := 2*root + 1
+		if c >= len(h) {
+			return
 		}
-		return
-	}
-	n := len(a)
-	sift := func(root, end int) {
-		for {
-			c := 2*root + 1
-			if c >= end {
-				return
-			}
-			if c+1 < end && less(a[c], a[c+1]) {
-				c++
-			}
-			if !less(a[root], a[c]) {
-				return
-			}
-			a[root], a[c] = a[c], a[root]
-			root = c
+		if c+1 < len(h) && bfLess(h[c+1], h[c]) {
+			c++
 		}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		sift(i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		a[0], a[end] = a[end], a[0]
-		sift(0, end)
+		if !bfLess(h[c], h[root]) {
+			return
+		}
+		h[root], h[c] = h[c], h[root]
+		root = c
 	}
 }
 

@@ -2,6 +2,8 @@ package lp
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -315,5 +317,146 @@ func TestAutoKernelDimensionDispatch(t *testing.T) {
 		if math.Abs(auto.Objective-pinned.Objective) > 1e-9*(1+math.Abs(pinned.Objective)) {
 			t.Errorf("auto objective %v, pinned sparse objective %v", auto.Objective, pinned.Objective)
 		}
+	}
+}
+
+// fullSortBFRT is the reference bound-flipping ratio test: it collects the
+// eligible candidates with pickEntering's rules, sorts all of them by
+// (ratio, column), walks to the block and takes the largest pivot among the
+// near-tie ratios that follow. retie reports whether that tie-break moved
+// the pick off the blocking candidate.
+func fullSortBFRT(s *spx, r int, below bool) (flips []int32, q int, retie bool) {
+	const pivTol = 1e-9
+	st := s.st
+	sign := 1.0
+	if !below {
+		sign = -1
+	}
+	var cands []bfCand
+	for _, j32 := range st.atouch {
+		j := int(j32)
+		if st.stat[j] == statusBasic || st.lo[j] == st.up[j] {
+			continue
+		}
+		a := sign * st.arow[j]
+		if (st.stat[j] == statusLower && a >= -pivTol) || (st.stat[j] == statusUpper && a <= pivTol) {
+			continue
+		}
+		cands = append(cands, bfCand{ratio: math.Max(st.d[j]/a, 0), j: j32})
+	}
+	sort.Slice(cands, func(x, y int) bool {
+		return cands[x].ratio < cands[y].ratio ||
+			(cands[x].ratio == cands[y].ratio && cands[x].j < cands[y].j)
+	})
+	leave := st.basis[r]
+	delta := st.x[leave] - st.up[leave]
+	if below {
+		delta = st.lo[leave] - st.x[leave]
+	}
+	for i, c := range cands {
+		width := st.up[c.j] - st.lo[c.j]
+		gain := math.Abs(st.arow[c.j]) * width
+		if math.IsInf(width, 1) || delta-gain <= s.cfg.tolerance {
+			best := c
+			for _, c2 := range cands[i+1:] {
+				if c2.ratio > best.ratio+s.cfg.tolerance {
+					break
+				}
+				if math.Abs(st.arow[c2.j]) > math.Abs(st.arow[best.j]) {
+					best = c2
+				}
+			}
+			return flips, int(best.j), best != c
+		}
+		flips = append(flips, c.j)
+		delta -= gain
+	}
+	return nil, -1, false
+}
+
+// TestBFRTMatchesFullSort checks the lazily popped bound-flipping ratio
+// test against the full-sort reference on random candidate sets rich in
+// exactly equal ratios, ratios inside the tolerance band, ineligible
+// columns, infinite boxes and both leaving directions: the flips (in order)
+// and the entering column must be identical.
+func TestBFRTMatchesFullSort(t *testing.T) {
+	const nCols = 64
+	rng := rand.New(rand.NewSource(3))
+	st := &sparseState{
+		stat: make([]varStatus, nCols), x: make([]float64, nCols),
+		lo: make([]float64, nCols), up: make([]float64, nCols),
+		d: make([]float64, nCols), arow: make([]float64, nCols),
+		basis: []int{nCols - 1},
+	}
+	s := &spx{cfg: &options{tolerance: 1e-9}, st: st, nCols: nCols}
+	var flipped, blocked, unbounded, reties int
+	for trial := 0; trial < 3000; trial++ {
+		below := rng.Intn(2) == 0
+		sign := 1.0
+		if !below {
+			sign = -1
+		}
+		st.atouch = st.atouch[:0]
+		for _, j := range rng.Perm(nCols - 1) {
+			st.atouch = append(st.atouch, int32(j))
+			ratio := []float64{0, 0.25, 0.5, 1, 1.5}[rng.Intn(5)]
+			if rng.Intn(3) == 0 {
+				ratio += float64(rng.Intn(4)) * 3e-10 // inside the tolerance band
+			}
+			a := []float64{0.5, 1, 2, 4, 1e-10}[rng.Intn(5)]
+			st.stat[j] = []varStatus{statusLower, statusUpper, statusBasic}[rng.Intn(3)]
+			if st.stat[j] == statusLower {
+				a = -a
+			}
+			if rng.Intn(10) == 0 {
+				a = -a // wrong sign: ineligible
+			}
+			st.arow[j] = sign * a
+			st.d[j] = ratio * a
+			st.lo[j] = 0
+			widths := []float64{0, 0.5, 1, 2, math.Inf(1), math.Inf(1)}
+			if trial%4 == 0 {
+				widths = widths[:4] // every box finite: the dual may be unbounded
+			}
+			st.up[j] = widths[rng.Intn(len(widths))]
+		}
+		leave := nCols - 1
+		st.stat[leave] = statusBasic
+		st.lo[leave], st.up[leave] = 0, 1
+		infeas := rng.Float64() * 8
+		if trial%8 == 0 {
+			infeas *= 100
+		}
+		st.x[leave] = -infeas
+		if !below {
+			st.x[leave] = 1 + infeas
+		}
+
+		wantFlips, wantQ, retie := fullSortBFRT(s, 0, below)
+		q := s.pickEnteringBFRT(0, below)
+		if q != wantQ || len(st.flips) != len(wantFlips) {
+			t.Fatalf("trial %d: entering %d with %d flips, reference %d with %d",
+				trial, q, len(st.flips), wantQ, len(wantFlips))
+		}
+		for i := range wantFlips {
+			if st.flips[i] != wantFlips[i] {
+				t.Fatalf("trial %d: flip %d is column %d, reference %d", trial, i, st.flips[i], wantFlips[i])
+			}
+		}
+		switch {
+		case q < 0:
+			unbounded++
+		case len(wantFlips) > 0:
+			flipped++
+		default:
+			blocked++
+		}
+		if retie {
+			reties++
+		}
+	}
+	if flipped == 0 || blocked == 0 || unbounded == 0 || reties == 0 {
+		t.Fatalf("coverage: %d with flips, %d blocked at once, %d unbounded, %d tie-breaks off the block",
+			flipped, blocked, unbounded, reties)
 	}
 }

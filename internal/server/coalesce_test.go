@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -241,5 +243,58 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.Tenants["acme"] != 1 {
 		t.Fatalf("stats tenants[acme] = %d, want 1; tenants %v", st.Tenants["acme"], st.Tenants)
+	}
+}
+
+// TestCoalescedLeaderRechecksCache forces the duplicate-miss interleaving on
+// each coalesced endpoint: request B misses the cache, request A then solves,
+// stores its result and leaves the flight group, and only then does B join —
+// as the leader of a fresh flight, which the join hook confirms. B must
+// answer from the cache A filled instead of solving the request again.
+func TestCoalescedLeaderRechecksCache(t *testing.T) {
+	sys := testSystem(t, 12, 6)
+	budget := 20.0
+	for _, c := range []struct {
+		kind, path string
+		req        any
+	}{
+		{"optimize", "/v1/optimize", &OptimizeRequest{System: sys, Budget: &budget}},
+		{"sweep", "/v1/sweep", &SweepRequest{System: sys, Steps: 3}},
+		{"simulate", "/v1/simulate", &SimulateRequest{All: true, Seed: 7, Trials: 200, Warmup: 20}},
+	} {
+		s := New(Config{})
+		joins := make(chan bool, 4)
+		s.testJoinHook = func(leader bool) { joins <- leader }
+		ts := httptest.NewServer(s.Handler())
+		key, err := requestKey(c.kind, c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// B: the handler's cache check misses.
+		if _, ok := s.cache.get(key); ok {
+			t.Fatalf("%s: cache already holds the request", c.kind)
+		}
+		// A: a complete solve that stores its result and finishes its flight.
+		resp, body := postJSON(t, ts.URL+c.path, c.req)
+		ts.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get(cacheHeader) != "miss" {
+			t.Fatalf("%s: first request status %d, cache %q; want 200 miss",
+				c.kind, resp.StatusCode, resp.Header.Get(cacheHeader))
+		}
+		// B: joins only now, and so leads a new flight.
+		rec := httptest.NewRecorder()
+		s.coalesced(rec, context.Background(), key, func() reply {
+			t.Errorf("%s: the new flight leader solved the request again", c.kind)
+			return errReply(http.StatusInternalServerError, errors.New("duplicate solve"))
+		})
+		if len(joins) != 2 || !<-joins || !<-joins {
+			t.Fatalf("%s: want two joins, each leading its own flight", c.kind)
+		}
+		if rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != "hit" ||
+			!bytes.Equal(rec.Body.Bytes(), body) {
+			t.Fatalf("%s: second request status %d, cache %q, same body %v; want 200 hit with A's body",
+				c.kind, rec.Code, rec.Header().Get(cacheHeader), bytes.Equal(rec.Body.Bytes(), body))
+		}
 	}
 }

@@ -410,7 +410,10 @@ func (s *Server) solveContext(r *http.Request, deadlineMillis int64) (context.Co
 // bounds how long that follower is willing to wait for it. Followers replay
 // only shared (proven 200) results; after an error or a deadline-truncated
 // leader they retry, each under its own deadline, the first retrier
-// becoming the new leader.
+// becoming the new leader. key is also the request's response-cache key: a
+// new leader re-checks the cache before computing, because the previous
+// leader may have stored its result and left the group between this
+// request's cache miss and its join.
 func (s *Server) coalesced(w http.ResponseWriter, ctx context.Context, key string, compute func() reply) {
 	if s.cfg.DisableCoalescing {
 		writeReply(w, compute())
@@ -422,6 +425,12 @@ func (s *Server) coalesced(w http.ResponseWriter, ctx context.Context, key strin
 			s.testJoinHook(leader)
 		}
 		if leader {
+			if body, ok := s.cache.get(key); ok {
+				s.flights.finish(key, f, http.StatusOK, "hit", body, true)
+				s.stats.cacheHits.Add(1)
+				writeJSON(w, http.StatusOK, "hit", body)
+				return
+			}
 			published := false
 			defer func() {
 				if !published {
