@@ -74,11 +74,12 @@ stress-smoke:
 		-count=1 -stress.n=100
 
 # Sparse-vs-dense kernel cross-check: every solver feature mode under both
-# simplex kernels and worker counts {1,4}, plus the counter plumbing and the
-# kernel-alternating-workspace regression tests in internal/lp.
+# simplex kernels and worker counts {1,4}, the counter plumbing, the LU
+# kernel's pinned pivot counts, plus the kernel-alternating-workspace
+# regression tests and the dual steepest-edge weight checks in internal/lp.
 kernel-equivalence:
-	$(GO) test ./internal/core -run 'TestKernelEquivalence|TestKernelCounters' -count=1
-	$(GO) test ./internal/lp -run 'TestSparse|TestWorkspaceKernelAlternation' -count=1
+	$(GO) test ./internal/core -run 'TestKernelEquivalence|TestKernelCounters|TestLUKernelCountersPinned' -count=1
+	$(GO) test ./internal/lp -run 'TestSparse|TestWorkspaceKernelAlternation|TestDSE' -count=1
 
 # Warm-shared sweep equivalence lane: ParetoSweepWarm must report bit-equal
 # curves (objective, status, monitor sets) to the cold sweep across solver

@@ -219,6 +219,35 @@ func BenchmarkMidMinCost(b *testing.B) {
 	}
 }
 
+// BenchmarkScaleMaxUtil measures the benchmark's scale MaxUtility solve:
+// 1500 monitors x 300 attacks in 30 segments at 22% of the total monitor
+// cost, one worker, default configuration (so the decomposition gate routes
+// it through the Lagrangian coordinator). Its per-solve allocation is what
+// sets the resident-memory peak of a cold planning cycle; run it with
+// -benchmem.
+func BenchmarkScaleMaxUtil(b *testing.B) {
+	sys, err := synth.Generate(synth.Config{Seed: 7919, Monitors: 1500, Attacks: 300, Segments: 30})
+	if err != nil {
+		b.Fatalf("synth: %v", err)
+	}
+	idx, err := model.NewIndex(sys)
+	if err != nil {
+		b.Fatalf("index: %v", err)
+	}
+	budget := sys.TotalMonitorCost() * 0.22
+	opt := core.NewOptimizer(idx, core.WithWorkers(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := opt.MaxUtility(budget)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Proven {
+			b.Fatalf("not proven: status %s gap %v", res.Status, res.Gap)
+		}
+	}
+}
+
 // BenchmarkE7ScalabilityParallel measures the parallel branch-and-bound on
 // the two hardest E7 sizes across worker counts. On a single-CPU host the
 // extra workers mostly measure coordination overhead; on multi-core hosts

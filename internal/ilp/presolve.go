@@ -113,13 +113,13 @@ func prepareRoot(p *Problem, cfg *options, started time.Time) (*rootPrep, error)
 
 	// solve re-solves the root problem under the given integer boxes,
 	// accumulating iteration and warm-start accounting exactly like the
-	// search loops do.
+	// search loops do. extra options ride along on this solve only.
 	bsc := newBoundScratch(len(p.integer))
-	solve := func(lo, hi []float64, basis *lp.Basis) (*lp.Solution, error) {
+	solve := func(lo, hi []float64, basis *lp.Basis, extra ...lp.Option) (*lp.Solution, error) {
 		if err := applyNodeBounds(pr.work, p.integer, &node{lo: lo, hi: hi}, bsc); err != nil {
 			return nil, err
 		}
-		opts := append(append([]lp.Option{}, cfg.lpOptions...), lp.WithWorkspace(pr.ws))
+		opts := append(append(append([]lp.Option{}, cfg.lpOptions...), extra...), lp.WithWorkspace(pr.ws))
 		if !cfg.noWarm {
 			opts = append(opts, lp.WithWarmStart(basis))
 			if basis != nil {
@@ -145,6 +145,19 @@ func prepareRoot(p *Problem, cfg *options, started time.Time) (*rootPrep, error)
 	sol, err := solve(pr.lo, pr.hi, cfg.rootBasis)
 	if err != nil {
 		return pr, err
+	}
+	// Dive steps read each relaxation point only until the next step
+	// solves, so, as in the search loops, they let the LP kernel recycle
+	// the result storage; certified solves are excluded because the
+	// collector retains dual vectors. The root solve above and the
+	// post-presolve re-solve stay non-volatile: their sol.X is read after
+	// the dives.
+	var diveOpts []lp.Option
+	if cfg.cert == nil {
+		diveOpts = []lp.Option{lp.WithVolatileSolution()}
+	}
+	solveNode := func(nd *node) (*lp.Solution, error) {
+		return solve(nd.lo, nd.hi, nd.basis, diveOpts...)
 	}
 	pr.nodes = 1
 	switch sol.Status {
@@ -189,9 +202,6 @@ func prepareRoot(p *Problem, cfg *options, started time.Time) (*rootPrep, error)
 	faceDive := !cfg.disableFaceDive && !faceDiveOff.Load()
 	if !cfg.disableDive && !timeUp() {
 		root := &node{lo: pr.lo, hi: pr.hi, bound: pr.bound, branchedVar: -1, basis: pr.basis}
-		solveNode := func(nd *node) (*lp.Solution, error) {
-			return solve(nd.lo, nd.hi, nd.basis)
-		}
 		if faceDive {
 			cut := pr.bound - pruneSlackFor(cfg, pr.bound)
 			if err := diveWithCutoff(p, cfg, root, sol.X, cut, solveNode, offer); err != nil {
@@ -257,9 +267,6 @@ func prepareRoot(p *Problem, cfg *options, started time.Time) (*rootPrep, error)
 	// optimal face to an integer point.
 	if faceDive && !cfg.disableDive && !timeUp() && !closed() {
 		root := &node{lo: pr.lo, hi: pr.hi, bound: pr.bound, branchedVar: -1, basis: sol.Basis}
-		solveNode := func(nd *node) (*lp.Solution, error) {
-			return solve(nd.lo, nd.hi, nd.basis)
-		}
 		cut := pr.bound - pruneSlackFor(cfg, pr.bound)
 		if err := diveWithCutoff(p, cfg, root, sol.X, cut, solveNode, offer); err != nil {
 			return pr, err
@@ -295,7 +302,7 @@ func prepareRoot(p *Problem, cfg *options, started time.Time) (*rootPrep, error)
 // points).
 func (pr *rootPrep) addCoverCuts(p *Problem, cfg *options, maximize bool,
 	origRows int, sol *lp.Solution,
-	solve func(lo, hi []float64, basis *lp.Basis) (*lp.Solution, error)) (*lp.Solution, error) {
+	solve func(lo, hi []float64, basis *lp.Basis, extra ...lp.Option) (*lp.Solution, error)) (*lp.Solution, error) {
 
 	idx := make(map[lp.VarID]int, len(p.integer))
 	for k, v := range p.integer {

@@ -24,19 +24,23 @@ package lp
 // (c) an update's new diagonal fails its stability test, or (d) the row and
 // column views of a pivot element drift apart past the agreement tolerance
 // in the pivot loop. Triggers (b)-(d) are counted as adaptive
-// refactorizations in the solve stats. It also runs a bound-flipping dual
-// ratio test (sparse_solve.go): one dual pivot flips whole runs of cheap
-// finite-box nonbasic columns across their bounds before the blocking
-// column enters, which suits the almost entirely 0/1-bounded deployment
-// ILP.
+// refactorizations in the solve stats. Its dual simplex prices the leaving
+// row by dual steepest edge (Forrest-Goldfarb weights ||e_i^T B^-1||^2,
+// updated with one extra hyper-sparse FTRAN per pivot) and runs a
+// bound-flipping dual ratio test (sparse_solve.go): one dual pivot flips
+// whole runs of cheap finite-box nonbasic columns across their bounds
+// before the blocking column enters, which suits the almost entirely
+// 0/1-bounded deployment ILP.
 //
 // The eta kernel represents the basis inverse as a product form
 // B = B0 * E_1 * ... * E_k over the all-logical base B0 = diag(sigma)
 // (sigma_i is the logical coefficient of row i: +1 for <= and = rows, -1
 // for >= rows), appends one eta per pivot, and rebuilds the file on a fixed
-// budget of refactorEvery etas. It predates the LU kernel and is kept
-// unchanged as a second, structurally different oracle for differential
-// tests; production solves should use the LU kernel.
+// budget of refactorEvery etas, which may permute basis positions; its dual
+// simplex therefore keeps Dantzig pricing (largest violation). It predates
+// the LU kernel and is kept unchanged as a second, structurally different
+// oracle for differential tests; production solves should use the LU
+// kernel.
 //
 // Both kernels share the stable column layout of warm.go — columns 0..n-1
 // are the structural variables, column n+i the logical of row i — and the
@@ -66,6 +70,10 @@ const (
 	// devexWeightCap triggers a devex reference-framework reset: weights
 	// restart at 1, which makes the next pricing pass exactly Dantzig.
 	devexWeightCap = 1e7
+	// dseMinWeight floors an updated dual steepest-edge weight: the
+	// recurrence can cancel to (or, by rounding, below) zero, which would
+	// make a row look arbitrarily attractive to pricing.
+	dseMinWeight = 1e-4
 	// statusAbort is the sparse kernel's internal "give up, fall back to
 	// the dense oracle" outcome; it is never surfaced to callers.
 	statusAbort Status = 0
@@ -271,6 +279,17 @@ type sparseState struct {
 	cost, d   []float64
 	devexW    []float64
 
+	// Dual steepest-edge pricing state of the LU kernel's dual simplex.
+	// dseW[i] tracks ||e_i^T B^-1||^2 for basis position i; dseOK reports
+	// whether it describes the factorized basis. Refactorizations keep
+	// positions, so the weights survive them; installing a different basis
+	// and primal pivots do not maintain them and clear dseOK, and the next
+	// dual solve restarts every weight at 1 (exact for the all-logical
+	// basis). tau is the m-length update scratch B^-1 rho_r.
+	dseW  []float64
+	dseOK bool
+	tau   []float64
+
 	// Scratch.
 	col, rho []float64 // m-length FTRAN/BTRAN vectors
 	arow     []float64 // (n+m)-length pivot-row scatter
@@ -392,6 +411,8 @@ func bindSparse(p *Problem, cfg *options, ws *Workspace) *spx {
 		// yields fresh zeroed memory, so only sizing is needed here.
 		st.rowv = f64(&st.rowv, m, cap(st.rowv) < m)
 		st.posv = f64(&st.posv, m, cap(st.posv) < m)
+		st.dseW = f64(&st.dseW, m, false)
+		st.tau = f64(&st.tau, m, false)
 	}
 	return s
 }
@@ -668,6 +689,7 @@ func (s *spx) luInstall(target []int32) bool {
 	if st.luf.nUpdates+missing > s.luBudget() || missing*4 > s.m+3 {
 		return false
 	}
+	st.dseOK = false // pivoted-in columns get no steepest-edge updates
 	return s.installColumns(target)
 }
 

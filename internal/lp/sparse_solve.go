@@ -90,8 +90,11 @@ func (s *spx) install(b *Basis) bool {
 		// Forrest-Tomlin updates beats a from-scratch Markowitz rebuild.
 		// Larger diffs, a spent update budget, or a torn factor fall back to
 		// refactorizing the snapshot directly.
-		if !(st.valid && s.luInstall(b.rowBasic)) && !s.refactor(b.rowBasic) {
-			return fail()
+		if !(st.valid && s.luInstall(b.rowBasic)) {
+			st.dseOK = false
+			if !s.refactor(b.rowBasic) {
+				return fail()
+			}
 		}
 	} else if st.valid {
 		if !s.installColumns(b.rowBasic) || st.eta.count()-st.baseEtas >= refactorEvery {
@@ -222,9 +225,11 @@ func (s *spx) dualFeasible() bool {
 	return true
 }
 
-// pickLeaving selects the basic variable with the largest bound violation,
-// or row -1 when the basis is primal feasible (optimal, since dual
-// feasibility is invariant).
+// pickLeaving selects the leaving basic variable among those violating a
+// bound, or row -1 when the basis is primal feasible (optimal, since dual
+// feasibility is invariant). The LU kernel prices by dual steepest edge,
+// maximizing violation^2/dseW[i]; the eta kernel, whose refactorizations
+// permute basis positions, keeps Dantzig's largest violation.
 func (s *spx) pickLeaving() (row int, below bool) {
 	st := s.st
 	row = -1
@@ -232,17 +237,78 @@ func (s *spx) pickLeaving() (row int, below bool) {
 	for i := 0; i < s.m; i++ {
 		b := st.basis[i]
 		xb := st.x[b]
-		if v := st.lo[b] - xb; v > s.feasTol(st.lo[b]) && v > best {
-			best, row, below = v, i, true
-		}
-		if math.IsInf(st.up[b], 1) {
+		var v float64
+		var lower bool
+		if lo := st.lo[b]; lo-xb > s.feasTol(lo) {
+			v, lower = lo-xb, true
+		} else if up := st.up[b]; !math.IsInf(up, 1) && xb-up > s.feasTol(up) {
+			v = xb - up
+		} else {
 			continue
 		}
-		if v := xb - st.up[b]; v > s.feasTol(st.up[b]) && v > best {
-			best, row, below = v, i, false
+		if s.lu {
+			v = v * v / st.dseW[i]
+		}
+		if v > best {
+			best, row, below = v, i, lower
 		}
 	}
 	return row, below
+}
+
+// resetDSE restarts the dual steepest-edge weights at 1 unless they already
+// describe the factorized basis.
+func (s *spx) resetDSE() {
+	st := s.st
+	if st.dseOK {
+		return
+	}
+	w := st.dseW[:s.m]
+	for i := range w {
+		w[i] = 1
+	}
+	st.dseOK = true
+}
+
+// dseUpdate carries the dual steepest-edge weights across the pivot at basis
+// position r (Forrest & Goldfarb 1992). It must run while st.rho still holds
+// rho_r = e_r^T B^-1 from the pivot's BTRAN and st.col the FTRANed entering
+// column alpha, with pivot element piv = alpha_r. The leaving row's weight
+// is refreshed exactly as ||rho_r||^2, tau = B^-1 rho_r costs one
+// hyper-sparse FTRAN, and every other position with alpha_i != 0 becomes
+//
+//	w_i + (alpha_i/alpha_r)^2 w_r - 2 (alpha_i/alpha_r) tau_i,
+//
+// floored at dseMinWeight, while the pivot position takes w_r/alpha_r^2 for
+// the entering column. The FTRAN saves no spike, so the entering column's
+// spike survives for the Forrest-Tomlin update.
+func (s *spx) dseUpdate(r int, piv float64) {
+	st := s.st
+	v := st.rowv // all-zero between calls; ftran consumes it back to zero
+	nz := st.nzbuf[:0]
+	wr := 0.0
+	for i, x := range st.rho[:s.m] {
+		if x != 0 {
+			wr += x * x
+			v[i] = x
+			nz = append(nz, int32(i))
+		}
+	}
+	st.nzbuf = nz
+	st.luf.ftran(v, st.tau, nz, false)
+	w := st.dseW
+	for i, a := range st.col[:s.m] {
+		if a == 0 || i == r {
+			continue
+		}
+		k := a / piv
+		wi := w[i] + k*(k*wr-2*st.tau[i])
+		if wi < dseMinWeight {
+			wi = dseMinWeight
+		}
+		w[i] = wi
+	}
+	w[r] = wr / (piv * piv)
 }
 
 // pickEntering runs the dual ratio test over the scattered pivot row
@@ -483,6 +549,9 @@ func (s *spx) applyBoundFlips() {
 // update (eta append or Forrest-Tomlin) — no tableau elimination.
 func (s *spx) dualIterate() Status {
 	st := s.st
+	if s.lu {
+		s.resetDSE()
+	}
 	justRefactored := false
 	for {
 		if s.iterations >= s.cfg.maxIterations {
@@ -529,11 +598,16 @@ func (s *spx) dualIterate() Status {
 			continue
 		}
 		justRefactored = false
+		if s.lu {
+			// Before the flips below, whose FTRAN overwrites st.rho.
+			s.dseUpdate(r, piv)
+		}
 		// Apply the bound flips the long-step ratio test chose. This sits
 		// after the drift check on purpose: an aborted pick must not leave
 		// flipped columns whose reduced costs were never updated. The flip
 		// FTRAN does not save a spike, so the entering column's spike from
 		// ftranColumn above survives for the Forrest-Tomlin update below.
+		// Flips move x but not B, so the steepest-edge weights stand.
 		if len(st.flips) > 0 {
 			s.applyBoundFlips()
 		}
@@ -813,8 +887,12 @@ func sparseColdSolve(p *Problem, cfg *options, ws *Workspace) (sol *Solution, ok
 	st := s.st
 
 	// Start from the all-logical basis: an empty eta file over B0 for the
-	// eta kernel, a (trivial) fresh factorization for the LU kernel.
+	// eta kernel, a (trivial) fresh factorization for the LU kernel. Its
+	// rows of B^-1 = diag(sigma) have unit norm, so the dual steepest-edge
+	// restart at 1 is exact; a primal phase leaves dseOK clear too, since
+	// primal pivots do not maintain the weights.
 	if s.lu {
+		st.dseOK = false
 		target := i32s(&st.target, s.m)
 		for i := 0; i < s.m; i++ {
 			target[i] = int32(s.n + i)

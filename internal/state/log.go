@@ -122,6 +122,13 @@ func parseRecord(line []byte) (*record, error) {
 type tlog struct {
 	f    *os.File
 	path string
+	// failed is the first write or fsync error, and it poisons the handle:
+	// the failed append may have left a torn record behind the file offset,
+	// and a retried fsync can report success after the kernel dropped the
+	// dirty pages. Appending past it would bury the torn record mid-file,
+	// which Open rejects as corruption, so every later append returns this
+	// error until the store is reopened and Open truncates the torn tail.
+	failed error
 }
 
 // readLog scans a log file and returns its valid records plus the byte
@@ -193,9 +200,14 @@ func openLog(path string) (*tlog, []*record, bool, error) {
 	return &tlog{f: f, path: path}, recs, recovered, nil
 }
 
-// append writes the records and fsyncs once — the commit point. On any
-// error the log file may hold a torn tail, which the next open discards.
+// append writes the records and fsyncs once — the commit point. A write or
+// fsync error may leave a torn tail, which the next open discards; it also
+// poisons the log (see tlog.failed). An encoding error happens before any
+// I/O and leaves the log usable.
 func (l *tlog) append(recs []*record) error {
+	if l.failed != nil {
+		return l.failed
+	}
 	var buf bytes.Buffer
 	for _, r := range recs {
 		line, err := encodeRecord(r)
@@ -205,10 +217,12 @@ func (l *tlog) append(recs []*record) error {
 		buf.Write(line)
 	}
 	if _, err := l.f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("state: append to %s: %w", l.path, err)
+		l.failed = fmt.Errorf("state: append to %s: %w (log refuses appends until the store is reopened)", l.path, err)
+		return l.failed
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("state: fsync %s: %w", l.path, err)
+		l.failed = fmt.Errorf("state: fsync %s: %w (log refuses appends until the store is reopened)", l.path, err)
+		return l.failed
 	}
 	return nil
 }

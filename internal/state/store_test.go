@@ -256,6 +256,82 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 }
 
+// TestFailedAppendPoisonsLog forces an append to fail by closing the log's
+// file descriptor under the tenant, then leaves behind the torn record such
+// a failure can write. Every later mutation must be refused with the same
+// error, even once the handle works again, so nothing lands after the torn
+// record; reopening the store must yield exactly the committed prefix.
+func TestFailedAppendPoisonsLog(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	sys := testSystem(t, 13, 20, 15)
+	spec := SolveSpec{Budget: sys.TotalMonitorCost() * 0.35, Workers: 1}
+	tn, err := s.Create("poisoned", sys, spec)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	committed, err := tn.Mutate([]Delta{{Op: OpUpdateBudget, Budget: f64(spec.Budget * 0.9)}})
+	if err != nil {
+		t.Fatalf("Mutate: %v", err)
+	}
+	path := filepath.Join(dir, "poisoned.log")
+	pristine, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tn.log.f.Close()
+	_, failed := tn.Mutate([]Delta{{Op: OpUpdateBudget, Budget: f64(spec.Budget * 0.8)}})
+	if failed == nil {
+		t.Fatal("append on a closed descriptor succeeded")
+	}
+	if got := tn.Version(); got != 2 {
+		t.Fatalf("failed mutation moved the version to %d", got)
+	}
+
+	const torn = `87 0123abcd {"v":1,"seq":3,"ru`
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(torn); err != nil {
+		t.Fatal(err)
+	}
+	tn.log.f = f
+	if _, err := tn.Mutate([]Delta{{Op: OpUpdateBudget, Budget: f64(spec.Budget * 0.7)}}); !errors.Is(err, failed) {
+		t.Fatalf("mutation after a failed append: %v, want the poisoning error %v", err, failed)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(pristine)+torn {
+		t.Fatal("a refused mutation wrote to the log")
+	}
+	s.Close()
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after a failed append: %v", err)
+	}
+	defer s2.Close()
+	tn2, ok := s2.Tenant("poisoned")
+	if !ok {
+		t.Fatal("tenant lost after a failed append")
+	}
+	if got := tn2.Version(); got != 2 {
+		t.Errorf("replayed version %d, want the committed 2", got)
+	}
+	if got := tn2.Last(); got.BestBound != committed.BestBound || !sameSet(got.Monitors, committed.Monitors) {
+		t.Errorf("replayed state diverged: bound %v vs %v", got.BestBound, committed.BestBound)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(pristine) {
+		t.Error("torn record not truncated on reopen")
+	}
+	if _, err := tn2.Mutate([]Delta{{Op: OpUpdateBudget, Budget: f64(spec.Budget * 0.7)}}); err != nil {
+		t.Fatalf("mutate after reopen: %v", err)
+	}
+}
+
 func TestUncommittedBatchDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
