@@ -15,9 +15,9 @@ FUZZTIME ?= 5s
 SERVE_ADDR ?= 127.0.0.1:8643
 STRESS_N ?= 1000
 
-.PHONY: ci lint vet build test race race-solver kernel-equivalence decomp-equivalence certify stress stress-smoke bench-smoke fuzz-smoke serve-smoke sweep-equivalence load-smoke loadbench golden-update bench delta-equivalence state-smoke statebench campaign-smoke campaignbench bench-compare bench-compare-advisory perfbench-smoke
+.PHONY: ci lint vet build test race race-solver kernel-equivalence decomp-equivalence certify stress stress-smoke bench-smoke fuzz-smoke serve-smoke sweep-equivalence load-smoke loadbench golden-update bench delta-equivalence state-smoke statebench campaign-smoke campaignbench bench-compare bench-compare-advisory perfbench-smoke search-equivalence
 
-ci: lint build race kernel-equivalence decomp-equivalence sweep-equivalence delta-equivalence certify stress-smoke bench-smoke perfbench-smoke fuzz-smoke serve-smoke load-smoke state-smoke campaign-smoke bench-compare-advisory
+ci: lint build race search-equivalence kernel-equivalence decomp-equivalence sweep-equivalence delta-equivalence certify stress-smoke bench-smoke perfbench-smoke fuzz-smoke serve-smoke load-smoke state-smoke campaign-smoke bench-compare-advisory
 
 # staticcheck is preferred when it is on PATH; plain go vet is the fallback
 # so CI works on minimal toolchain images.
@@ -72,6 +72,14 @@ stress:
 stress-smoke:
 	$(GO) test ./internal/certify/stress -run 'TestStressFamilies|TestMetamorphicMatrix' \
 		-count=1 -stress.n=100
+
+# Branch-and-bound search lane: the ilp package and the core parallel and
+# feature equivalence suites at GOMAXPROCS 1 and 2 (-cpu 1,2). Solves that
+# use the default worker count then run both the inline one-worker search
+# and the multi-worker goroutine path, whatever the host's CPU count.
+search-equivalence:
+	$(GO) test ./internal/ilp -cpu 1,2 -count=1
+	$(GO) test ./internal/core -run 'TestParallelEquiv|TestFeatureEquiv' -cpu 1,2 -count=1
 
 # Sparse-vs-dense kernel cross-check: every solver feature mode under both
 # simplex kernels and worker counts {1,4}, the counter plumbing, the LU

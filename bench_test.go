@@ -76,7 +76,8 @@ func BenchmarkE2AttackEvidenceMap(b *testing.B) {
 
 // BenchmarkE3OptimalDeployment measures the exact MaxUtility solve at the
 // half budget on the case study (experiment E3's central row), across
-// branch-and-bound worker counts (workers=1 is the sequential solver).
+// branch-and-bound worker counts (workers=1 runs the search inline on one
+// goroutine).
 func BenchmarkE3OptimalDeployment(b *testing.B) {
 	idx := caseIndex(b)
 	budget := idx.System().TotalMonitorCost() * 0.5

@@ -224,7 +224,7 @@ func cmdOptimize(args []string, out io.Writer) error {
 	wRichness := fs.Float64("w-richness", 0, "multi-objective weight on richness")
 	wRedundancy := fs.Float64("w-redundancy", 0, "multi-objective weight on redundancy")
 	savePath := fs.String("save", "", "write the resulting deployment as JSON to this file")
-	workers := fs.Int("workers", 0, "parallel branch-and-bound workers (0 = GOMAXPROCS, 1 = sequential)")
+	workers := fs.Int("workers", 0, "branch-and-bound workers (0 = GOMAXPROCS, 1 = one deterministic worker)")
 	kernel := fs.String("kernel", "", "LP simplex kernel: sparse|lu (default, sparse LU with Forrest-Tomlin updates), eta (eta-file oracle) or dense (tableau oracle)")
 	decompose := fs.String("decompose", "auto", "graph-partitioned decomposition solver: auto (on above the size threshold), on, off")
 	certifyFlag := fs.Bool("certify", false, "emit a machine-checkable optimality certificate and verify it")

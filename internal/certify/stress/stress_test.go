@@ -59,7 +59,7 @@ func TestStressFamilies(t *testing.T) {
 }
 
 // TestMetamorphicMatrix runs the metamorphic relations across the solver
-// configuration matrix: sequential and 4-worker search, sparse and dense
+// configuration matrix: 1- and 4-worker search, sparse and dense
 // kernels. Fewer seeds per cell than TestStressFamilies since each check
 // performs five certified solves.
 func TestMetamorphicMatrix(t *testing.T) {

@@ -74,8 +74,8 @@ func TestMaxUtilityDeadlineE7Scale(t *testing.T) {
 }
 
 func TestMaxUtilityDeadlineFeatureMatrix(t *testing.T) {
-	// The anytime contract must hold with every accelerator on and off and
-	// for both the sequential and the parallel search.
+	// The anytime contract must hold with every accelerator on and off, at
+	// one worker and at several.
 	idx, budget := e7ScaleIndex(t)
 	for _, mode := range solverFeatureModes {
 		for _, workers := range []int{1, 4} {

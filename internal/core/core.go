@@ -56,8 +56,8 @@ type SolveStats struct {
 	LPIterations int `json:"lpIterations"`
 	// Elapsed is the wall-clock solve duration.
 	Elapsed time.Duration `json:"elapsed"`
-	// Workers is the number of branch-and-bound workers used (1 for the
-	// sequential solver).
+	// Workers is the number of branch-and-bound workers used. One worker
+	// runs the search on the calling goroutine and is deterministic.
 	Workers int `json:"workers,omitempty"`
 	// WarmAttempts is the number of LP solves given a parent basis to
 	// warm-start from; WarmHits counts those the dual simplex accepted.
@@ -285,8 +285,11 @@ func WithCertificate() Option {
 	})
 }
 
-// WithWorkers sets the number of parallel branch-and-bound workers. 1 is
-// the sequential solver; values <= 0 select runtime.GOMAXPROCS(0).
+// WithWorkers sets the number of branch-and-bound workers; values <= 0
+// select runtime.GOMAXPROCS(0). Every count runs the same search: one
+// worker runs it on the calling goroutine, deterministically, and more
+// share its frontier from their own goroutines. Decomposed solves pass the
+// count to every segment, master and oracle solve.
 func WithWorkers(n int) Option {
 	return optionFunc(func(o *options) {
 		o.workers = n

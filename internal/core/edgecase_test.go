@@ -58,7 +58,7 @@ func verifyEdgeResult(t *testing.T, label string, res *Result) {
 }
 
 // TestEdgeCases drives the presolve/root handling through degenerate
-// instance shapes, sequentially and with 4 workers, certifying every
+// instance shapes, at one worker and at four, certifying every
 // proven solve.
 func TestEdgeCases(t *testing.T) {
 	cases := []struct {

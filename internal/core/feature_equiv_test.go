@@ -23,7 +23,7 @@ var solverFeatureModes = []struct {
 
 // checkFeatureEquivalence solves MaxUtility for every feature mode and
 // worker count in {1, 2, 4} and requires the proven optimum to match an
-// all-features-off sequential reference. Sequential solves are
+// all-features-off one-worker reference. One-worker solves are
 // deterministic, so there the selected monitor set must match exactly;
 // parallel schedules may surface alternate optima, so for workers > 1 only
 // utility, proven status and the budget bound are compared.

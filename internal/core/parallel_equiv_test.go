@@ -9,7 +9,7 @@ import (
 )
 
 // equivWorkers are the branch-and-bound worker counts checked for
-// equivalence with the sequential solver.
+// equivalence with the one-worker solve.
 var equivWorkers = []int{1, 2, 8}
 
 // checkParallelEquivalence solves MaxUtility at the given budget for every
@@ -18,10 +18,10 @@ func checkParallelEquivalence(t *testing.T, idx *model.Index, budget float64) {
 	t.Helper()
 	ref, err := NewOptimizer(idx, WithWorkers(1)).MaxUtility(budget)
 	if err != nil {
-		t.Fatalf("sequential MaxUtility(%v): %v", budget, err)
+		t.Fatalf("one-worker MaxUtility(%v): %v", budget, err)
 	}
 	if !ref.Proven {
-		t.Fatalf("sequential solve at budget %v not proven optimal", budget)
+		t.Fatalf("one-worker solve at budget %v not proven optimal", budget)
 	}
 	for _, w := range equivWorkers[1:] {
 		res, err := NewOptimizer(idx, WithWorkers(w)).MaxUtility(budget)
@@ -93,7 +93,7 @@ func TestParallelEquivalenceMinCost(t *testing.T) {
 	ref, err := NewOptimizer(idx, WithWorkers(1), WithClampToAchievable()).
 		MinCost(CoverageTargets{Global: 0.8})
 	if err != nil {
-		t.Fatalf("sequential MinCost: %v", err)
+		t.Fatalf("one-worker MinCost: %v", err)
 	}
 	for _, w := range equivWorkers[1:] {
 		res, err := NewOptimizer(idx, WithWorkers(w), WithClampToAchievable()).

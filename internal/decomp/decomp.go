@@ -39,7 +39,10 @@ var ErrNotDecomposable = errors.New("decomp: instance does not decompose")
 type Config struct {
 	// MaxSegments caps the partition size; <= 0 picks a size-based default.
 	MaxSegments int
-	// Workers bounds concurrent segment solves; <= 0 means GOMAXPROCS.
+	// Workers bounds concurrent segment solves and is the branch-and-bound
+	// worker count of every ILP solve the decomposition runs; <= 0 means
+	// GOMAXPROCS. At 1 every solve runs one worker, so the result and its
+	// effort counters are deterministic.
 	Workers int
 	// GapTol is the relative optimality tolerance at which the coordinator
 	// declares the bound closed; <= 0 means 1e-6.

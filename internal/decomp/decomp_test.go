@@ -3,6 +3,7 @@ package decomp_test
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"secmon/internal/core"
@@ -232,5 +233,34 @@ func TestMinCostInfeasibleSegment(t *testing.T) {
 	}
 	if res.Status != ilp.StatusInfeasible {
 		t.Fatalf("got status %v, want infeasible", res.Status)
+	}
+}
+
+// TestOracleHonorsWorkerCount runs a decomposed MaxUtility that falls back
+// to the monolithic oracle at Workers 1 under GOMAXPROCS 2. One worker must
+// mean one branch-and-bound worker in every segment, master and oracle
+// solve, so repeats report the same effort counters; a solve that ignored
+// the count would run two workers and vary with scheduling.
+func TestOracleHonorsWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	idx := blockSystem(t, 21, 90, 45, 4, 0.05)
+	budget := 0.2 * totalCost(idx)
+	var nodes, iters int
+	for i := 0; i < 4; i++ {
+		res, err := decomp.MaxUtility(idx, budget, nil, decomp.Config{MaxSegments: 4, Workers: 1})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if res.Stats.OracleFallbacks == 0 {
+			t.Fatalf("run %d: the oracle fallback did not fire; pick an instance that reaches it", i)
+		}
+		if i == 0 {
+			nodes, iters = res.Nodes, res.LPIterations
+			continue
+		}
+		if res.Nodes != nodes || res.LPIterations != iters {
+			t.Fatalf("run %d: %d nodes, %d LP iterations; run 0 had %d, %d",
+				i, res.Nodes, res.LPIterations, nodes, iters)
+		}
 	}
 }

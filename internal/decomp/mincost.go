@@ -64,9 +64,10 @@ func MinCost(idx *model.Index, required map[model.AttackID]float64, fixed *model
 		sel[m] = f
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if cfg.Workers <= 0 {
+		// Resolved once: it bounds both the concurrent segment solves and
+		// each segment's branch-and-bound workers.
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	type segOut struct {
 		sol *ilp.Solution
@@ -75,7 +76,7 @@ func MinCost(idx *model.Index, required map[model.AttackID]float64, fixed *model
 		err error
 	}
 	outs := make([]segOut, part.Segments)
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, cfg.Workers)
 	var wg sync.WaitGroup
 	for s := 0; s < part.Segments; s++ {
 		if len(segAttacks[s]) == 0 {
@@ -229,11 +230,10 @@ func solveMinCostSegment(in *instance, idx *model.Index, part *graph.IndexPartit
 				}
 			}
 		}
-		opts := []ilp.Option{ilp.WithContext(cfg.Ctx), ilp.WithIncumbent(x)}
-		out.sol, out.err = prob.Solve(opts...)
+		out.sol, out.err = prob.Solve(ilp.WithContext(cfg.Ctx), ilp.WithWorkers(cfg.Workers), ilp.WithIncumbent(x))
 		return
 	}
-	out.sol, out.err = prob.Solve(ilp.WithContext(cfg.Ctx))
+	out.sol, out.err = prob.Solve(ilp.WithContext(cfg.Ctx), ilp.WithWorkers(cfg.Workers))
 	return
 }
 

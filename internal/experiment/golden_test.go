@@ -37,7 +37,7 @@ type goldenArtifact struct {
 	Output []string `json:"output"`
 }
 
-// renderScrubbed runs an experiment with the sequential solver and replaces
+// renderScrubbed runs an experiment at one solver worker and replaces
 // wall-clock tokens with a placeholder. GOMAXPROCS is pinned to 1 by the
 // caller so the default worker count is 1 and node ordering (hence node and
 // iteration counts) is deterministic.

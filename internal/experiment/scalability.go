@@ -35,7 +35,7 @@ const e7BudgetFraction = 0.3
 
 // ScalabilityPoint generates a synthetic system of the given size and solves
 // the MaxUtility ILP at the standard budget fraction, returning the measured
-// effort. It uses the sequential solver; see ScalabilityPointWorkers.
+// effort. It runs one branch-and-bound worker; see ScalabilityPointWorkers.
 func ScalabilityPoint(monitors, attacks int, seed int64) (ScalePoint, error) {
 	return ScalabilityPointWorkers(monitors, attacks, seed, 1)
 }

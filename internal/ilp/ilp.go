@@ -3,8 +3,8 @@
 //
 // The solver is a best-first branch-and-bound with depth plunging, branching
 // priorities, most-fractional variable selection and an optional root diving
-// heuristic that quickly produces incumbents for pruning. It is deterministic
-// for a given problem and configuration.
+// heuristic that quickly produces incumbents for pruning. At one worker it is
+// deterministic for a given problem and configuration.
 //
 // The monitor-deployment formulations of Thakore et al. (DSN 2016) are pure
 // 0-1 programs over monitor-selection variables, with continuous coverage
@@ -199,7 +199,8 @@ type Solution struct {
 	// Elapsed is the wall-clock duration of the solve.
 	Elapsed time.Duration
 	// Workers is the number of branch-and-bound workers that ran the
-	// search (1 for the sequential solver).
+	// search. Worker 0 runs on the calling goroutine, so a one-worker solve
+	// starts no goroutine.
 	Workers int
 	// PerWorker records each worker's share of the search effort, indexed
 	// by worker; its length equals Workers.
@@ -294,6 +295,45 @@ func (k *kernelStats) merge(o kernelStats) {
 	if o.factorNnz > k.factorNnz {
 		k.factorNnz = o.factorNnz
 	}
+}
+
+// effort accumulates the work of a run of relaxation solves: the root
+// prep's, and each search worker's. Callers count nodes and warm-start
+// attempts themselves; count records everything a solve reports.
+type effort struct {
+	nodes, lpIters                    int
+	warmAttempts, warmHits, warmIters int
+	coldSolves, coldIters             int
+	kstats                            kernelStats
+}
+
+// count records one relaxation solve.
+func (e *effort) count(sol *lp.Solution) {
+	e.lpIters += sol.Iterations
+	e.kstats.add(sol)
+	if sol.Warm {
+		e.warmHits++
+		e.warmIters += sol.Iterations
+	} else {
+		e.coldSolves++
+		e.coldIters += sol.Iterations
+	}
+}
+
+func (e *effort) merge(o effort) {
+	e.nodes += o.nodes
+	e.lpIters += o.lpIters
+	e.warmAttempts += o.warmAttempts
+	e.warmHits += o.warmHits
+	e.warmIters += o.warmIters
+	e.coldSolves += o.coldSolves
+	e.coldIters += o.coldIters
+	e.kstats.merge(o.kstats)
+}
+
+func (e effort) workerStats() WorkerStats {
+	return WorkerStats{Nodes: e.nodes, LPIterations: e.lpIters,
+		WarmAttempts: e.warmAttempts, WarmHits: e.warmHits}
 }
 
 // WarmHitRate is the fraction of warm-start attempts the dual simplex
@@ -495,13 +535,14 @@ func isInterrupted(err error) bool {
 }
 
 // WithWorkers sets the number of branch-and-bound workers. Non-positive
-// (the default) selects runtime.GOMAXPROCS(0). One worker runs the classic
-// sequential best-first search; more run the same exact search over a
-// shared best-first frontier, each worker owning a private clone of the
-// problem and a private simplex workspace, pruning against a shared
-// incumbent. Both modes prove the same optimal objective; with more than
-// one worker the solution vector may differ only among equally-optimal
-// ties.
+// (the default) selects runtime.GOMAXPROCS(0). Every worker count runs the
+// same exact best-first search over one shared frontier, pruning against a
+// shared incumbent. Worker 0 runs on the calling goroutine and solves on
+// the root's own problem and simplex workspace; each further worker runs on
+// its own goroutine with a private clone of the problem and a private
+// workspace. One worker is fully deterministic; every worker count proves
+// the same optimal objective, and with more than one the solution vector
+// may differ only among equally-optimal ties.
 func WithWorkers(n int) Option {
 	return optionFunc(func(o *options) { o.workers = n })
 }
@@ -574,6 +615,27 @@ var _ heap.Interface = (*nodeHeap)(nil)
 // only for structurally invalid problems or numerical failure of the
 // underlying LP solver.
 func (p *Problem) Solve(opts ...Option) (*Solution, error) {
+	cfg, workers := p.configure(opts)
+	started := time.Now()
+	// The root node is processed once up front — relaxation, cover cuts,
+	// dive, presolve, branching — and its children seed the search below.
+	pr, err := prepareRoot(p, &cfg, started)
+	if err != nil {
+		if pr == nil || !isInterrupted(err) {
+			return nil, err
+		}
+		// Context fired mid-root: whatever the prep proved so far (bound,
+		// dive incumbent) is still valid — finish as an anytime stop.
+		pr.limited = true
+		pr.interrupted = true
+	}
+	return newSearch(p, cfg, workers, started).run(pr)
+}
+
+// configure resolves the solve options: defaults, the LP options every
+// relaxation carries, the certificate collector and the validated seed. It
+// also returns the resolved worker count.
+func (p *Problem) configure(opts []Option) (options, int) {
 	cfg := options{}
 	for _, o := range opts {
 		o.apply(&cfg)
@@ -613,286 +675,17 @@ func (p *Problem) Solve(opts ...Option) (*Solution, error) {
 	if cfg.seedX != nil && !cfg.certify {
 		cfg.seed = validateSeed(p, &cfg)
 	}
-	started := time.Now()
-	// The root node is processed once up front — relaxation, cover cuts,
-	// dive, presolve, branching — and its children seed whichever search
-	// runs below.
-	pr, err := prepareRoot(p, &cfg, started)
-	if err != nil {
-		if pr == nil || !isInterrupted(err) {
-			return nil, err
-		}
-		// Context fired mid-root: whatever the prep proved so far (bound,
-		// dive incumbent) is still valid — finish as an anytime stop.
-		pr.limited = true
-		pr.interrupted = true
-	}
-	if workers > 1 {
-		return newParallelSearch(p, cfg, workers, started).run(pr)
-	}
-	s := &search{
-		prob:    p,
-		cfg:     cfg,
-		work:    pr.work,
-		started: started,
-	}
-	if s.work != nil {
-		// Reuse the prep workspace: it already holds the factorization of
-		// the final root basis, so the first child re-solves warm.
-		s.lpOpts = append(append([]lp.Option{}, cfg.lpOptions...), lp.WithWorkspace(pr.ws))
-		if cfg.cert == nil {
-			// Node relaxation solutions are consumed immediately (branch
-			// value, incumbent snap, basis capture), so let the LP kernel
-			// recycle the result storage. Certified solves are excluded:
-			// the collector retains each node's dual vector.
-			s.lpOpts = append(s.lpOpts, lp.WithVolatileSolution())
-		}
-		s.warmOpts = append(append([]lp.Option{}, s.lpOpts...), lp.WithWarmStart(nil))
-	}
-	return s.run(pr)
+	return cfg, workers
 }
 
-// search carries the state of one sequential branch-and-bound run.
-type search struct {
-	prob     *Problem
-	cfg      options
-	work     *lp.Problem // mutated in place as nodes are explored
-	lpOpts   []lp.Option // cfg.lpOptions plus the reusable simplex workspace
-	warmOpts []lp.Option // lpOpts with a WithWarmStart slot appended
-	bsc      *boundScratch
-	started  time.Time
-	prep     *rootPrep
-
-	maximize  bool
-	incumbent []float64
-	incObj    float64 // in maximize form
-	hasInc    bool
-
-	nodes       int
-	lpIters     int
-	seq         int
-	limitChecks int  // sampling counter for the wall-clock limit
-	interrupted bool // the solve's context fired
-
-	rootObjective float64
-	rootDuals     []float64
-
-	warmAttempts, warmHits, warmIters int
-	coldSolves, coldIters             int
-	kstats                            kernelStats
-
-	// Pseudo-cost tables, indexed like Problem.integer.
-	pcDownSum, pcUpSum []float64
-	pcDownN, pcUpN     []int
-}
-
-// run continues the branch-and-bound below an already-processed root.
-func (s *search) run(pr *rootPrep) (*Solution, error) {
-	s.maximize = s.prob.lp.Sense() == lp.Maximize
-	s.prep = pr
-	s.nodes = pr.nodes
-	s.lpIters = pr.lpIters
-	s.warmAttempts, s.warmHits, s.warmIters = pr.warmAttempts, pr.warmHits, pr.warmIters
-	s.coldSolves, s.coldIters = pr.coldSolves, pr.coldIters
-	s.kstats = pr.kstats
-	s.rootObjective = pr.rootObjective
-	s.rootDuals = pr.rootDuals
-	if pr.hasInc {
-		s.hasInc, s.incObj, s.incumbent = true, pr.incObj, pr.incumbent
-	}
-	if pr.unbounded {
-		return s.finish(StatusUnbounded), nil
-	}
-	if pr.limited {
-		s.interrupted = pr.interrupted
-		// The root relaxation, when it finished, proved a bound even though
-		// no children exist to read one from.
-		b := math.Inf(1)
-		if pr.nodes > 0 {
-			b = pr.bound
-		}
-		return s.finishWithBound(stopStatus(s.hasInc, s.interrupted), b), nil
-	}
-
-	nInt := len(s.prob.integer)
-	s.pcDownSum = make([]float64, nInt)
-	s.pcUpSum = make([]float64, nInt)
-	s.pcDownN = make([]int, nInt)
-	s.pcUpN = make([]int, nInt)
-
-	open := &nodeHeap{}
-	heap.Init(open)
-	if pr.branchVar >= 0 {
-		root := &node{lo: pr.lo, hi: pr.hi, bound: pr.bound, depth: 0,
-			seq: s.nextSeq(), branchedVar: -1, basis: pr.basis,
-			certDual: s.cfg.cert.rootDual()}
-		down, up := s.childNodes(root, pr.branchVar, pr.frac, pr.bound)
-		fracPart := pr.frac - math.Floor(pr.frac)
-		down.branchedVar, down.branchedUp, down.branchedFrac = pr.branchVar, false, fracPart
-		up.branchedVar, up.branchedUp, up.branchedFrac = pr.branchVar, true, fracPart
-		// Push the preferred child (nearest rounding) last so that the
-		// tie-break explores it first.
-		if fracPart <= 0.5 {
-			heap.Push(open, up)
-			heap.Push(open, down)
-		} else {
-			heap.Push(open, down)
-			heap.Push(open, up)
-		}
-	}
-
-	for open.Len() > 0 {
-		if s.limitReached() {
-			return s.finishWithBound(stopStatus(s.hasInc, s.interrupted), bestOpenBound(open)), nil
-		}
-		nd := heap.Pop(open).(*node)
-		// A node whose inherited bound cannot beat the incumbent is pruned
-		// without an LP solve.
-		if s.hasInc && nd.bound <= s.incObj+s.pruneSlack() {
-			certLeafBound(s.cfg.cert, nd)
-			continue
-		}
-
-		sol, err := s.solveRelaxation(nd)
-		if err != nil {
-			if isInterrupted(err) {
-				// The popped node was neither expanded nor re-queued: fold its
-				// inherited bound back in so the reported bound stays proven.
-				s.interrupted = true
-				return s.finishWithBound(stopStatus(s.hasInc, true),
-					math.Max(bestOpenBound(open), nd.bound)), nil
-			}
-			return nil, err
-		}
-		s.nodes++
-
-		switch sol.Status {
-		case lp.StatusInfeasible:
-			certLeafInfeasible(s.cfg.cert, nd)
-			continue
-		case lp.StatusUnbounded:
-			// The root (handled in prepareRoot) is bounded, and bounded
-			// parents cannot spawn unbounded children; treat as a
-			// numerical failure.
-			return nil, fmt.Errorf("ilp: child relaxation unbounded: %w", lp.ErrNumerical)
-		case lp.StatusIterationLimit:
-			return nil, fmt.Errorf("ilp: LP relaxation hit its iteration limit at node %d", s.nodes)
-		}
-		if s.cfg.cert != nil {
-			// The node's own duals now justify its bound (and its children's,
-			// until they are solved themselves).
-			nd.certDual = s.cfg.cert.addDual(sol.DualValues)
-		}
-
-		bound := s.toMax(sol.Objective)
-		s.observePseudoCost(nd, bound)
-		if s.hasInc && bound <= s.incObj+s.pruneSlack() {
-			certLeafBound(s.cfg.cert, nd)
-			continue
-		}
-
-		branchVar := s.pickBranchVariable(sol.X)
-		if branchVar < 0 {
-			// Integral: new incumbent.
-			s.offerIncumbent(sol.X)
-			certLeafBound(s.cfg.cert, nd)
-			continue
-		}
-
-		// This node's optimal basis warm-starts its children and dives.
-		nd.basis = sol.Basis
-		// Read the branch value now: sol may be a volatile solution whose
-		// backing arrays the dive's re-solves recycle.
-		frac := sol.X[s.prob.integer[branchVar]]
-
-		// Dive until a first incumbent exists: without one, best-first
-		// cannot prune and degrades into breadth-first over bound
-		// plateaus. (The root dive already ran in prepareRoot.)
-		if !s.cfg.disableDive && !s.hasInc {
-			if err := s.dive(nd, sol.X); err != nil {
-				if isInterrupted(err) {
-					// The node's own relaxation bound covers its unbranched
-					// subtree; dive incumbents (if any) were already offered.
-					s.interrupted = true
-					return s.finishWithBound(stopStatus(s.hasInc, true),
-						math.Max(bestOpenBound(open), bound)), nil
-				}
-				return nil, err
-			}
-			if s.hasInc && bound <= s.incObj+s.pruneSlack() {
-				certLeafBound(s.cfg.cert, nd)
-				continue
-			}
-		}
-
-		down, up := s.childNodes(nd, branchVar, frac, bound)
-		fracPart := frac - math.Floor(frac)
-		down.branchedVar, down.branchedUp, down.branchedFrac = branchVar, false, fracPart
-		up.branchedVar, up.branchedUp, up.branchedFrac = branchVar, true, fracPart
-		// Push the preferred child (nearest rounding) last so that the
-		// tie-break explores it first.
-		if fracPart <= 0.5 {
-			heap.Push(open, up)
-			heap.Push(open, down)
-		} else {
-			heap.Push(open, down)
-			heap.Push(open, up)
-		}
-	}
-
-	if s.hasInc {
-		return s.finish(StatusOptimal), nil
-	}
-	return s.finish(StatusInfeasible), nil
-}
-
-func (s *search) nextSeq() int {
-	s.seq++
-	return s.seq
-}
-
-// timeCheckInterval is how many limit checks elapse between wall-clock
-// reads: time.Since on every node is measurable against sub-millisecond LP
-// solves. The very first check (counter zero) always reads the clock, so a
-// tiny limit still stops the solve before any work.
-const timeCheckInterval = 64
-
-func (s *search) limitReached() bool {
-	if s.nodes >= s.cfg.maxNodes {
-		return true
-	}
-	if s.cfg.ctxErr() != nil {
-		s.interrupted = true
-		return true
-	}
-	if s.cfg.timeLimit <= 0 {
-		return false
-	}
-	n := s.limitChecks
-	s.limitChecks++
-	if n%timeCheckInterval != 0 {
-		return false
-	}
-	return time.Since(s.started) > s.cfg.timeLimit
-}
-
-// pruneSlack is the absolute amount by which a node bound must beat the
-// incumbent to stay open, derived from the relative gap tolerance.
-func (s *search) pruneSlack() float64 {
-	return pruneSlackFor(&s.cfg, s.incObj)
-}
-
-// pruneSlackFor computes the pruning slack for a given incumbent objective;
-// shared by the sequential and parallel searches.
+// pruneSlackFor is the absolute amount by which a node bound must beat the
+// incumbent objective to stay open, derived from the relative gap tolerance.
 func pruneSlackFor(cfg *options, incObj float64) float64 {
 	return cfg.gapTolerance * math.Max(1, math.Abs(incObj))
 }
 
-// toMax converts an objective in the problem's sense to maximize form.
-func (s *search) toMax(obj float64) float64 {
-	return toMaxForm(s.maximize, obj)
-}
-
+// toMaxForm converts an objective in the problem's sense to maximize form;
+// fromMaxForm converts back. The search compares bounds in maximize form.
 func toMaxForm(maximize bool, obj float64) float64 {
 	if maximize {
 		return obj
@@ -900,10 +693,11 @@ func toMaxForm(maximize bool, obj float64) float64 {
 	return -obj
 }
 
+func fromMaxForm(maximize bool, obj float64) float64 { return toMaxForm(maximize, obj) }
+
 // boundScratch is reusable storage for materializing a node's bounds: one
 // lo/hi pair sized to the integer-variable count plus the ancestor-walk
-// stack. Each sequential search (and each parallel worker) owns one, so no
-// locking is needed.
+// stack. The root prep and each worker own one, so no locking is needed.
 type boundScratch struct {
 	lo, hi []float64
 	chain  []*node
@@ -982,50 +776,10 @@ func applyNodeBounds(work *lp.Problem, integer []lp.VarID, nd *node, sc *boundSc
 	return nil
 }
 
-// solveRelaxation applies the node's integer bounds to the working problem
-// and solves the LP relaxation, warm-starting from the node's parent basis
-// when one is available.
-func (s *search) solveRelaxation(nd *node) (*lp.Solution, error) {
-	if s.bsc == nil {
-		s.bsc = newBoundScratch(len(s.prob.integer))
-	}
-	if err := applyNodeBounds(s.work, s.prob.integer, nd, s.bsc); err != nil {
-		return nil, err
-	}
-	opts := s.lpOpts
-	if !s.cfg.noWarm {
-		s.warmOpts[len(s.warmOpts)-1] = lp.WithWarmStart(nd.basis)
-		opts = s.warmOpts
-		if nd.basis != nil {
-			s.warmAttempts++
-		}
-	}
-	sol, err := s.work.Solve(opts...)
-	if err != nil {
-		return nil, fmt.Errorf("ilp: relaxation: %w", err)
-	}
-	s.lpIters += sol.Iterations
-	s.kstats.add(sol)
-	if sol.Warm {
-		s.warmHits++
-		s.warmIters += sol.Iterations
-	} else {
-		s.coldSolves++
-		s.coldIters += sol.Iterations
-	}
-	return sol, nil
-}
-
-// pickBranchVariable returns the index (into Problem.integer) of the integer
-// variable to branch on, or -1 if all integer variables are integral.
-func (s *search) pickBranchVariable(x []float64) int {
-	return pickBranch(s.prob, &s.cfg, x, s.pseudoCost)
-}
-
 // pickBranch selects the branching variable: highest branching priority
 // first, then the configured rule (most-fractional by default, pseudo-cost
-// product when selected, with pc supplying the up/down estimates). Shared
-// by the sequential and parallel searches.
+// product when selected, with pc supplying the up/down estimates). The root
+// prep calls it with empty pseudo-cost tables.
 func pickBranch(prob *Problem, cfg *options, x []float64, pc func(int) (float64, float64)) int {
 	best := -1
 	bestPri := math.MinInt32
@@ -1051,21 +805,11 @@ func pickBranch(prob *Problem, cfg *options, x []float64, pc func(int) (float64,
 	return best
 }
 
-// childNodes creates the floor/ceil children for branching variable k at
-// fractional value frac.
-func (s *search) childNodes(parent *node, k int, frac, bound float64) (down, up *node) {
-	down, up = makeChildren(parent, k, frac, bound, s.cfg.cert)
-	down.seq = s.nextSeq()
-	up.seq = s.nextSeq()
-	return down, up
-}
-
 // makeChildren builds the floor/ceil children of a branched node as bound
-// deltas chained to the parent; shared by the sequential and parallel
-// searches. The parent's basis pointer moves to the children and is cleared
-// on the parent: children warm-start from it directly, and keeping it on
-// every interior chain node would pin one basis snapshot per ancestor for
-// the life of the subtree.
+// deltas chained to the parent. The parent's basis pointer moves to the
+// children and is cleared on the parent: children warm-start from it
+// directly, and keeping it on every interior chain node would pin one basis
+// snapshot per ancestor for the life of the subtree.
 func makeChildren(parent *node, k int, frac, bound float64, c *certCollector) (down, up *node) {
 	down = &node{parent: parent, bvar: k, bup: false, bval: math.Floor(frac),
 		bound: bound, depth: parent.depth + 1, basis: parent.basis}
@@ -1077,30 +821,6 @@ func makeChildren(parent *node, k int, frac, bound float64, c *certCollector) (d
 	}
 	parent.basis = nil
 	return down, up
-}
-
-// observePseudoCost records the objective degradation of a branched child:
-// the per-unit-fraction drop of the relaxation bound relative to the parent.
-func (s *search) observePseudoCost(nd *node, childBound float64) {
-	if nd.branchedVar < 0 || math.IsInf(nd.bound, 0) {
-		return
-	}
-	drop := nd.bound - childBound
-	if drop < 0 {
-		drop = 0
-	}
-	if nd.branchedUp {
-		f := 1 - nd.branchedFrac
-		if f > 1e-9 {
-			s.pcUpSum[nd.branchedVar] += drop / f
-			s.pcUpN[nd.branchedVar]++
-		}
-		return
-	}
-	if nd.branchedFrac > 1e-9 {
-		s.pcDownSum[nd.branchedVar] += drop / nd.branchedFrac
-		s.pcDownN[nd.branchedVar]++
-	}
 }
 
 // pcAverage is the pseudo-cost estimate for one direction of one variable:
@@ -1121,12 +841,6 @@ func pcAverage(sums []float64, ns []int, k int) float64 {
 	return 1
 }
 
-// pseudoCost returns the estimated up/down per-unit degradations for an
-// integer variable, falling back to the global averages, then to 1.
-func (s *search) pseudoCost(k int) (down, up float64) {
-	return pcAverage(s.pcDownSum, s.pcDownN, k), pcAverage(s.pcUpSum, s.pcUpN, k)
-}
-
 // snapObjective copies x with every integer variable snapped exactly to the
 // lattice and recomputes the objective of the snapped point in the
 // problem's sense.
@@ -1143,28 +857,8 @@ func snapObjective(work *lp.Problem, integer []lp.VarID, x []float64) ([]float64
 	return snapped, obj
 }
 
-// offerIncumbent records x as the incumbent if it improves on the current
-// one. Integer variables are snapped exactly to the lattice.
-func (s *search) offerIncumbent(x []float64) {
-	snapped, obj := snapObjective(s.work, s.prob.integer, x)
-	objMax := s.toMax(obj)
-	if !s.hasInc || objMax > s.incObj {
-		s.hasInc = true
-		s.incObj = objMax
-		s.incumbent = snapped
-		s.cfg.cert.observeInc(objMax)
-	}
-}
-
-// dive runs a depth-limited diving heuristic from the given relaxation
-// point: repeatedly fix the fractional variable closest to an integer to its
-// rounding and re-solve, stopping at integrality or infeasibility.
-func (s *search) dive(nd *node, x []float64) error {
-	return diveFrom(s.prob, &s.cfg, nd, x, s.solveRelaxation, s.offerIncumbent)
-}
-
-// diveFrom is the diving heuristic shared by the sequential and parallel
-// searches, parameterized over how a relaxation is solved and how an
+// diveFrom is the diving heuristic run by the root prep and by the search
+// workers, parameterized over how a relaxation is solved and how an
 // incumbent is published.
 func diveFrom(prob *Problem, cfg *options, nd *node, x []float64,
 	solve func(*node) (*lp.Solution, error), offer func([]float64)) error {
@@ -1244,86 +938,6 @@ func diveWithCutoff(prob *Problem, cfg *options, nd *node, x []float64, cutoff f
 		cur = sol.X
 	}
 	return nil
-}
-
-// finish assembles a Solution for a completed (not limit-stopped) search.
-func (s *search) finish(status Status) *Solution {
-	sol := &Solution{
-		Status:        status,
-		Nodes:         s.nodes,
-		LPIterations:  s.lpIters,
-		Elapsed:       time.Since(s.started),
-		RootObjective: s.rootObjective,
-		RootDuals:     s.rootDuals,
-		Workers:       1,
-		PerWorker: []WorkerStats{{
-			Nodes: s.nodes, LPIterations: s.lpIters,
-			WarmAttempts: s.warmAttempts, WarmHits: s.warmHits,
-		}},
-		WarmAttempts:     s.warmAttempts,
-		WarmHits:         s.warmHits,
-		WarmIterations:   s.warmIters,
-		ColdIterations:   s.coldIters,
-		ColdSolves:       s.coldSolves,
-		Etas:             s.kstats.etas,
-		Refactorizations: s.kstats.refactorizations,
-		DevexResets:      s.kstats.devexResets,
-
-		Updates:                  s.kstats.updates,
-		BoundFlips:               s.kstats.boundFlips,
-		AdaptiveRefactorizations: s.kstats.adaptiveRefacs,
-		FactorNnz:                s.kstats.factorNnz,
-		KernelFallbacks:          s.kstats.kernelFallbacks,
-	}
-	if pr := s.prep; pr != nil {
-		sol.PresolveFixed = pr.presolveFixed
-		sol.PresolveTightened = pr.presolveTightened
-		sol.CutsAdded = pr.cutsAdded
-		sol.CutsActive = pr.cutsActive
-		sol.RootBasis = pr.basis
-	}
-	sol.Interrupted = s.interrupted
-	if s.hasInc {
-		sol.X = s.incumbent
-		sol.Objective = s.fromMax(s.incObj)
-		sol.BestBound = sol.Objective
-		sol.BoundKnown = true
-	}
-	if c := s.cfg.cert; c != nil {
-		sol.Certificate, sol.CertificateNote = c.finalize(status, s.hasInc, s.incumbent, s.incObj)
-	}
-	return sol
-}
-
-// finishWithBound assembles a Solution when the search stopped on a limit,
-// using the best open node bound to report the optimality gap.
-func (s *search) finishWithBound(status Status, openBound float64) *Solution {
-	sol := s.finish(status)
-	if math.IsInf(openBound, 0) {
-		// Stopped before the root relaxation proved anything. A seeded
-		// incumbent (WithIncumbent) can exist here, but its objective is not
-		// a proving-side bound, so finish's optimal-claim values must go.
-		sol.BestBound = 0
-		sol.BoundKnown = false
-		return sol
-	}
-	bound := openBound
-	if s.hasInc && s.incObj > bound {
-		bound = s.incObj
-	}
-	sol.BestBound = s.fromMax(bound)
-	sol.BoundKnown = true
-	if s.hasInc {
-		sol.Gap = math.Abs(bound-s.incObj) / math.Max(1, math.Abs(s.incObj))
-	}
-	return sol
-}
-
-func (s *search) fromMax(obj float64) float64 {
-	if s.maximize {
-		return obj
-	}
-	return -obj
 }
 
 // stopStatus maps an early stop to its reported status: any incumbent makes

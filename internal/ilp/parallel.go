@@ -10,25 +10,31 @@ import (
 	"secmon/internal/lp"
 )
 
-// parallelSearch runs the exact best-first branch-and-bound across a worker
-// pool. The frontier is a single best-first heap guarded by a mutex: node
-// processing is dominated by the LP relaxation solve (microseconds to
-// milliseconds), so frontier contention is negligible and a sharded
-// work-stealing structure would buy nothing. Each worker owns a private
-// clone of the working problem and a private simplex workspace; incumbents
-// and bounds are published through the shared state so every worker prunes
+// search runs the exact best-first branch-and-bound below a processed root,
+// across one or more workers. The frontier is a single best-first heap
+// guarded by a mutex: node processing is dominated by the LP relaxation
+// solve (microseconds to milliseconds), so frontier contention is negligible
+// and a sharded work-stealing structure would buy nothing. Incumbents and
+// bounds are published through the shared state so every worker prunes
 // against the global best.
 //
+// Worker 0 runs on the calling goroutine, on the root prep's own problem and
+// simplex workspace, so the first child re-solves against the primed root
+// factorization and a WithWorkspace workspace keeps serving the tree. A
+// one-worker solve therefore starts no goroutine, clones nothing, and is
+// fully deterministic. Each further worker runs on its own goroutine with a
+// private clone of the problem and a private workspace.
+//
 // Exactness: a node is only discarded when its relaxation bound cannot beat
-// the shared incumbent (the same rule as the sequential search), and the
-// search terminates only when the frontier is empty AND no node is
-// in-flight — an in-flight node may still publish children or a better
-// incumbent. The proven optimal objective therefore equals the sequential
-// solver's. Exploration ORDER depends on scheduling, so among
-// equally-optimal solutions the returned vector may differ; incumbent
-// publication breaks exact objective ties lexicographically to keep the
-// result as stable as cheaply possible.
-type parallelSearch struct {
+// the shared incumbent, and the search terminates only when the frontier is
+// empty AND no node is in-flight — an in-flight node may still publish
+// children or a better incumbent. The proven optimal objective therefore
+// does not depend on the worker count. With more than one worker the
+// exploration ORDER depends on scheduling, so among equally-optimal
+// solutions the returned vector may differ; incumbent publication breaks
+// exact objective ties lexicographically to keep the result as stable as
+// cheaply possible.
+type search struct {
 	prob     *Problem
 	cfg      options
 	workers  int
@@ -52,9 +58,6 @@ type parallelSearch struct {
 	incObj    float64 // maximize form
 	incumbent []float64
 
-	rootObjective float64
-	rootDuals     []float64
-
 	// Shared pseudo-cost tables under their own lock: they only steer
 	// branching-variable choice, never pruning, so cross-worker timing
 	// cannot affect exactness.
@@ -62,117 +65,115 @@ type parallelSearch struct {
 	pcDownSum, pcUpSum []float64
 	pcDownN, pcUpN     []int
 
-	stats []WorkerStats
-	// Warm/cold iteration totals, merged under mu as each worker exits.
-	warmIters, coldSolves, coldIters int
-	kstats                           kernelStats
+	pool []*worker // nil when the solve ended at the root
 }
 
-// pworker is one branch-and-bound worker: a private problem clone, a
-// private reusable simplex workspace, and private effort counters.
-type pworker struct {
-	id       int
-	ps       *parallelSearch
+// worker is one branch-and-bound worker: a problem, a reusable simplex
+// workspace, and private effort counters.
+type worker struct {
+	s        *search
 	work     *lp.Problem
-	lpOpts   []lp.Option
-	warmOpts []lp.Option // lpOpts with a WithWarmStart slot appended
+	ws       *lp.Workspace
+	warmOpts []lp.Option // LP options with a WithWarmStart slot last
 	bsc      *boundScratch
-
-	nodes   int
-	lpIters int
-
-	warmAttempts, warmHits, warmIts int
-	coldSolves, coldIts             int
-	kstats                          kernelStats
+	effort
 }
 
-func newParallelSearch(p *Problem, cfg options, workers int, started time.Time) *parallelSearch {
-	ps := &parallelSearch{
+func newSearch(p *Problem, cfg options, workers int, started time.Time) *search {
+	s := &search{
 		prob:     p,
 		cfg:      cfg,
 		workers:  workers,
 		maximize: p.lp.Sense() == lp.Maximize,
 		started:  started,
 	}
-	ps.cond = sync.NewCond(&ps.mu)
-	return ps
+	s.cond = sync.NewCond(&s.mu)
+	return s
 }
 
 // run continues the branch-and-bound below an already-processed root: the
 // prep's two children seed the shared frontier and the workers race over it.
-func (ps *parallelSearch) run(pr *rootPrep) (*Solution, error) {
-	ps.prep = pr
-	ps.nodes = pr.nodes
-	ps.stats = make([]WorkerStats, ps.workers)
-	ps.rootObjective = pr.rootObjective
-	ps.rootDuals = pr.rootDuals
+func (s *search) run(pr *rootPrep) (*Solution, error) {
+	s.prep = pr
+	s.nodes = pr.nodes
 	if pr.hasInc {
-		ps.hasInc, ps.incObj, ps.incumbent = true, pr.incObj, pr.incumbent
+		s.hasInc, s.incObj, s.incumbent = true, pr.incObj, pr.incumbent
 	}
 	if pr.unbounded {
-		ps.unbound = true
-		return ps.assemble(), nil
+		s.unbound = true
+		return s.assemble(), nil
 	}
 	if pr.limited {
-		ps.limited = true
-		ps.interrupted = pr.interrupted
-		return ps.assemble(), nil
+		s.limited = true
+		s.interrupted = pr.interrupted
+		return s.assemble(), nil
 	}
 
-	nInt := len(ps.prob.integer)
-	ps.pcDownSum = make([]float64, nInt)
-	ps.pcUpSum = make([]float64, nInt)
-	ps.pcDownN = make([]int, nInt)
-	ps.pcUpN = make([]int, nInt)
+	nInt := len(s.prob.integer)
+	s.pcDownSum = make([]float64, nInt)
+	s.pcUpSum = make([]float64, nInt)
+	s.pcDownN = make([]int, nInt)
+	s.pcUpN = make([]int, nInt)
 
-	ps.seq = 1 // the root consumed the first sequence number in prep
-	ps.open = nodeHeap{}
-	heap.Init(&ps.open)
+	s.seq = 1 // the root consumed the first sequence number in prep
+	s.open = nodeHeap{}
 	if pr.branchVar >= 0 {
 		root := &node{lo: pr.lo, hi: pr.hi, bound: pr.bound, depth: 0,
 			seq: 1, branchedVar: -1, basis: pr.basis,
-			certDual: ps.cfg.cert.rootDual()}
-		ps.pushChildren(root, pr.branchVar, pr.frac, pr.bound)
+			certDual: s.cfg.cert.rootDual()}
+		s.pushChildren(root, pr.branchVar, pr.frac, pr.bound)
 	}
-	if len(ps.open) == 0 {
-		return ps.assemble(), nil // decided at the root: nothing to search
+	if len(s.open) == 0 {
+		return s.assemble(), nil // decided at the root: nothing to search
 	}
 
-	var wg sync.WaitGroup
-	for w := 0; w < ps.workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			ps.runWorker(id)
-		}(w)
+	// Every clone of pr.work is taken before worker 0 starts mutating it.
+	s.pool = make([]*worker, s.workers)
+	for id := range s.pool {
+		work, ws := pr.work, pr.ws
+		if id > 0 {
+			work, ws = pr.work.Clone(), lp.NewWorkspace() // clones carry any root cut rows
+		}
+		s.pool[id] = s.newWorker(work, ws)
 	}
+	var wg sync.WaitGroup
+	for _, w := range s.pool[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.run()
+		}()
+	}
+	s.pool[0].run()
 	wg.Wait()
 
-	if ps.failure != nil {
-		return nil, ps.failure
+	if s.failure != nil {
+		return nil, s.failure
 	}
-	return ps.assemble(), nil
+	return s.assemble(), nil
 }
 
-func (ps *parallelSearch) runWorker(id int) {
-	w := &pworker{
-		id:     id,
-		ps:     ps,
-		work:   ps.prep.work.Clone(), // includes any root cut rows
-		lpOpts: append(append([]lp.Option{}, ps.cfg.lpOptions...), lp.WithWorkspace(lp.NewWorkspace())),
-		bsc:    newBoundScratch(len(ps.prob.integer)),
+func (s *search) newWorker(work *lp.Problem, ws *lp.Workspace) *worker {
+	w := &worker{s: s, work: work, ws: ws, bsc: newBoundScratch(len(s.prob.integer))}
+	w.warmOpts = append(append([]lp.Option{}, s.cfg.lpOptions...), lp.WithWorkspace(ws))
+	if s.cfg.cert == nil {
+		// Node relaxation solutions are consumed before the next solve on
+		// this worker's workspace (branch value, incumbent snap, basis
+		// capture), so let the LP kernel recycle the result storage.
+		// Certified solves are excluded: the collector retains node duals.
+		w.warmOpts = append(w.warmOpts, lp.WithVolatileSolution())
 	}
-	if ps.cfg.cert == nil {
-		// Same reasoning as the sequential search: node solutions are
-		// consumed before the next solve on this worker's workspace, and
-		// certified solves (which retain node duals) are excluded.
-		w.lpOpts = append(w.lpOpts, lp.WithVolatileSolution())
-	}
-	w.warmOpts = append(append([]lp.Option{}, w.lpOpts...), lp.WithWarmStart(nil))
+	w.warmOpts = append(w.warmOpts, lp.WithWarmStart(nil))
+	return w
+}
+
+// run expands nodes until the search is over.
+func (w *worker) run() {
+	s := w.s
 	for {
-		nd, ok := ps.acquire()
+		nd, ok := s.acquire()
 		if !ok {
-			break
+			return
 		}
 		err := w.process(nd)
 		if isInterrupted(err) {
@@ -180,21 +181,11 @@ func (ps *parallelSearch) runWorker(id int) {
 			// node was proven. Return it to the frontier so its inherited
 			// bound stays in the open set: the reported BestBound must
 			// cover every unresolved node to remain a sound bound.
-			ps.interruptNode(nd)
+			s.interruptNode(nd)
 			err = nil
 		}
-		ps.release(err)
+		s.release(err)
 	}
-	ps.mu.Lock()
-	ps.stats[id] = WorkerStats{
-		Nodes: w.nodes, LPIterations: w.lpIters,
-		WarmAttempts: w.warmAttempts, WarmHits: w.warmHits,
-	}
-	ps.warmIters += w.warmIts
-	ps.coldSolves += w.coldSolves
-	ps.coldIters += w.coldIts
-	ps.kstats.merge(w.kstats)
-	ps.mu.Unlock()
 }
 
 // acquire pops the best open node, pruning stale entries against the
@@ -202,107 +193,113 @@ func (ps *parallelSearch) runWorker(id int) {
 // workers may still publish children. It returns ok=false when the search
 // is over: frontier exhausted, a limit hit, unboundedness proven, or a
 // worker failed.
-func (ps *parallelSearch) acquire() (*node, bool) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
+func (s *search) acquire() (*node, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
-		if ps.failure != nil || ps.unbound || ps.limited {
+		if s.failure != nil || s.unbound || s.limited {
 			return nil, false
 		}
-		if ps.limitReachedLocked() {
-			ps.limited = true
-			ps.cond.Broadcast()
+		if s.limitReachedLocked() {
+			s.limited = true
+			s.cond.Broadcast()
 			return nil, false
 		}
-		if len(ps.open) > 0 {
-			nd := heap.Pop(&ps.open).(*node)
+		if len(s.open) > 0 {
+			nd := heap.Pop(&s.open).(*node)
 			// A node whose inherited bound cannot beat the incumbent is
 			// pruned without an LP solve.
-			if ps.hasInc && nd.bound <= ps.incObj+pruneSlackFor(&ps.cfg, ps.incObj) {
-				certLeafBound(ps.cfg.cert, nd)
+			if s.hasInc && nd.bound <= s.incObj+pruneSlackFor(&s.cfg, s.incObj) {
+				certLeafBound(s.cfg.cert, nd)
 				continue
 			}
-			ps.inFlight++
+			s.inFlight++
 			return nd, true
 		}
-		if ps.inFlight == 0 {
-			ps.cond.Broadcast() // search exhausted: wake idle workers to exit
+		if s.inFlight == 0 {
+			s.cond.Broadcast() // search exhausted: wake idle workers to exit
 			return nil, false
 		}
-		ps.cond.Wait()
+		s.cond.Wait()
 	}
 }
 
 // release retires an in-flight node and wakes waiters: either new children
 // were pushed, or this was the last in-flight node and the search is over.
-func (ps *parallelSearch) release(err error) {
-	ps.mu.Lock()
-	ps.inFlight--
-	if err != nil && ps.failure == nil {
-		ps.failure = err
+func (s *search) release(err error) {
+	s.mu.Lock()
+	s.inFlight--
+	if err != nil && s.failure == nil {
+		s.failure = err
 	}
-	ps.cond.Broadcast()
-	ps.mu.Unlock()
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // interruptNode returns a node whose expansion was cut short by a context
 // stop to the frontier and halts the search. Repushing keeps the node's
 // inherited bound visible to assemble's BestBound computation.
-func (ps *parallelSearch) interruptNode(nd *node) {
-	ps.mu.Lock()
-	ps.limited = true
-	ps.interrupted = true
-	heap.Push(&ps.open, nd)
-	ps.cond.Broadcast()
-	ps.mu.Unlock()
+func (s *search) interruptNode(nd *node) {
+	s.mu.Lock()
+	s.limited = true
+	s.interrupted = true
+	heap.Push(&s.open, nd)
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
-// limitReachedLocked mirrors the sequential limitReached: the context is
+// timeCheckInterval is how many limit checks elapse between wall-clock
+// reads: time.Since on every node is measurable against sub-millisecond LP
+// solves. The very first check (counter zero) always reads the clock, so a
+// tiny limit still stops the solve before any work.
+const timeCheckInterval = 64
+
+// limitReachedLocked reports whether the search must stop: the context is
 // polled every check, the node budget is exact, the wall clock is sampled
 // every timeCheckInterval checks (with the first check always reading the
-// clock). Callers hold ps.mu.
-func (ps *parallelSearch) limitReachedLocked() bool {
-	if ps.cfg.ctxErr() != nil {
-		ps.interrupted = true
+// clock). Callers hold s.mu.
+func (s *search) limitReachedLocked() bool {
+	if s.cfg.ctxErr() != nil {
+		s.interrupted = true
 		return true
 	}
-	if ps.nodes >= ps.cfg.maxNodes {
+	if s.nodes >= s.cfg.maxNodes {
 		return true
 	}
-	if ps.cfg.timeLimit <= 0 {
+	if s.cfg.timeLimit <= 0 {
 		return false
 	}
-	n := ps.checks
-	ps.checks++
+	n := s.checks
+	s.checks++
 	if n%timeCheckInterval != 0 {
 		return false
 	}
-	return time.Since(ps.started) > ps.cfg.timeLimit
+	return time.Since(s.started) > s.cfg.timeLimit
 }
 
 // incumbentView snapshots the shared incumbent objective.
-func (ps *parallelSearch) incumbentView() (bool, float64) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.hasInc, ps.incObj
+func (s *search) incumbentView() (bool, float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hasInc, s.incObj
 }
 
 // offerIncumbent publishes a snapped integer point if it improves on the
 // shared incumbent. Exact objective ties are broken towards the
 // lexicographically smaller vector so equally-optimal races resolve
 // deterministically whenever both candidates are actually offered.
-func (ps *parallelSearch) offerIncumbent(work *lp.Problem, x []float64) {
-	snapped, obj := snapObjective(work, ps.prob.integer, x)
-	objMax := toMaxForm(ps.maximize, obj)
-	ps.mu.Lock()
-	if !ps.hasInc || objMax > ps.incObj ||
-		(objMax == ps.incObj && lexLess(snapped, ps.incumbent)) {
-		ps.hasInc = true
-		ps.incObj = objMax
-		ps.incumbent = snapped
-		ps.cfg.cert.observeInc(objMax)
+func (s *search) offerIncumbent(work *lp.Problem, x []float64) {
+	snapped, obj := snapObjective(work, s.prob.integer, x)
+	objMax := toMaxForm(s.maximize, obj)
+	s.mu.Lock()
+	if !s.hasInc || objMax > s.incObj ||
+		(objMax == s.incObj && lexLess(snapped, s.incumbent)) {
+		s.hasInc = true
+		s.incObj = objMax
+		s.incumbent = snapped
+		s.cfg.cert.observeInc(objMax)
 	}
-	ps.mu.Unlock()
+	s.mu.Unlock()
 }
 
 func lexLess(a, b []float64) bool {
@@ -314,8 +311,9 @@ func lexLess(a, b []float64) bool {
 	return false
 }
 
-// observePseudoCost mirrors search.observePseudoCost under the pc lock.
-func (ps *parallelSearch) observePseudoCost(nd *node, childBound float64) {
+// observePseudoCost records the objective degradation of a branched child:
+// the per-unit-fraction drop of the relaxation bound relative to the parent.
+func (s *search) observePseudoCost(nd *node, childBound float64) {
 	if nd.branchedVar < 0 || math.IsInf(nd.bound, 0) {
 		return
 	}
@@ -323,36 +321,38 @@ func (ps *parallelSearch) observePseudoCost(nd *node, childBound float64) {
 	if drop < 0 {
 		drop = 0
 	}
-	ps.pcMu.Lock()
-	defer ps.pcMu.Unlock()
+	s.pcMu.Lock()
+	defer s.pcMu.Unlock()
 	if nd.branchedUp {
 		f := 1 - nd.branchedFrac
 		if f > 1e-9 {
-			ps.pcUpSum[nd.branchedVar] += drop / f
-			ps.pcUpN[nd.branchedVar]++
+			s.pcUpSum[nd.branchedVar] += drop / f
+			s.pcUpN[nd.branchedVar]++
 		}
 		return
 	}
 	if nd.branchedFrac > 1e-9 {
-		ps.pcDownSum[nd.branchedVar] += drop / nd.branchedFrac
-		ps.pcDownN[nd.branchedVar]++
+		s.pcDownSum[nd.branchedVar] += drop / nd.branchedFrac
+		s.pcDownN[nd.branchedVar]++
 	}
 }
 
-func (ps *parallelSearch) pseudoCost(k int) (down, up float64) {
-	ps.pcMu.Lock()
-	defer ps.pcMu.Unlock()
-	return pcAverage(ps.pcDownSum, ps.pcDownN, k), pcAverage(ps.pcUpSum, ps.pcUpN, k)
+// pseudoCost returns the estimated down/up per-unit degradations for an
+// integer variable (see pcAverage).
+func (s *search) pseudoCost(k int) (down, up float64) {
+	s.pcMu.Lock()
+	defer s.pcMu.Unlock()
+	return pcAverage(s.pcDownSum, s.pcDownN, k), pcAverage(s.pcUpSum, s.pcUpN, k)
 }
 
 // pushChildren creates and publishes the floor/ceil children of a branched
 // node. Sequence numbers are assigned under the lock, pushing the preferred
 // (nearest-rounding) child last so the frontier tie-break plunges into it
-// first, exactly like the sequential search.
-func (ps *parallelSearch) pushChildren(parent *node, k int, frac, bound float64) {
-	// Safe without ps.mu: the collector has its own lock and never
+// first.
+func (s *search) pushChildren(parent *node, k int, frac, bound float64) {
+	// Safe without s.mu: the collector has its own lock and never
 	// acquires the search's, so no ordering cycle is possible.
-	down, up := makeChildren(parent, k, frac, bound, ps.cfg.cert)
+	down, up := makeChildren(parent, k, frac, bound, s.cfg.cert)
 	fracPart := frac - math.Floor(frac)
 	down.branchedVar, down.branchedUp, down.branchedFrac = k, false, fracPart
 	up.branchedVar, up.branchedUp, up.branchedFrac = k, true, fracPart
@@ -361,28 +361,29 @@ func (ps *parallelSearch) pushChildren(parent *node, k int, frac, bound float64)
 	if fracPart > 0.5 {
 		first, second = down, up
 	}
-	ps.mu.Lock()
-	ps.seq++
-	first.seq = ps.seq
-	heap.Push(&ps.open, first)
-	ps.seq++
-	second.seq = ps.seq
-	heap.Push(&ps.open, second)
-	ps.cond.Broadcast()
-	ps.mu.Unlock()
+	s.mu.Lock()
+	s.seq++
+	first.seq = s.seq
+	heap.Push(&s.open, first)
+	s.seq++
+	second.seq = s.seq
+	heap.Push(&s.open, second)
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
-// solveRelaxation solves the node's LP relaxation on the worker's private
-// problem clone and workspace, warm-starting from the node's parent basis
-// when one is available (basis snapshots are immutable and shared across
-// workers; each worker restores them into its own workspace).
-func (w *pworker) solveRelaxation(nd *node) (*lp.Solution, error) {
-	if err := applyNodeBounds(w.work, w.ps.prob.integer, nd, w.bsc); err != nil {
+// solveRelaxation solves the node's LP relaxation on the worker's problem
+// and workspace, warm-starting from the node's parent basis when one is
+// available (basis snapshots are immutable and shared across workers; each
+// worker restores them into its own workspace).
+func (w *worker) solveRelaxation(nd *node) (*lp.Solution, error) {
+	if err := applyNodeBounds(w.work, w.s.prob.integer, nd, w.bsc); err != nil {
 		return nil, err
 	}
-	opts := w.lpOpts
-	if !w.ps.cfg.noWarm {
-		w.warmOpts[len(w.warmOpts)-1] = lp.WithWarmStart(nd.basis)
+	last := len(w.warmOpts) - 1
+	opts := w.warmOpts[:last]
+	if !w.s.cfg.noWarm {
+		w.warmOpts[last] = lp.WithWarmStart(nd.basis)
 		opts = w.warmOpts
 		if nd.basis != nil {
 			w.warmAttempts++
@@ -392,35 +393,26 @@ func (w *pworker) solveRelaxation(nd *node) (*lp.Solution, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ilp: relaxation: %w", err)
 	}
-	w.lpIters += sol.Iterations
-	w.kstats.add(sol)
-	if sol.Warm {
-		w.warmHits++
-		w.warmIts += sol.Iterations
-	} else {
-		w.coldSolves++
-		w.coldIts += sol.Iterations
-	}
+	w.count(sol)
 	return sol, nil
 }
 
 // process expands one node: solve its relaxation, prune or publish an
-// incumbent, dive when incumbent-less, and branch. It mirrors the body of
-// the sequential search loop.
-func (w *pworker) process(nd *node) error {
-	ps := w.ps
+// incumbent, dive when incumbent-less, and branch.
+func (w *worker) process(nd *node) error {
+	s := w.s
 	sol, err := w.solveRelaxation(nd)
 	if err != nil {
 		return err
 	}
 	w.nodes++
-	ps.mu.Lock()
-	ps.nodes++
-	ps.mu.Unlock()
+	s.mu.Lock()
+	s.nodes++
+	s.mu.Unlock()
 
 	switch sol.Status {
 	case lp.StatusInfeasible:
-		certLeafInfeasible(ps.cfg.cert, nd)
+		certLeafInfeasible(s.cfg.cert, nd)
 		return nil
 	case lp.StatusUnbounded:
 		// The root (handled in prepareRoot) is bounded, and bounded
@@ -428,27 +420,27 @@ func (w *pworker) process(nd *node) error {
 		// failure.
 		return fmt.Errorf("ilp: child relaxation unbounded: %w", lp.ErrNumerical)
 	case lp.StatusIterationLimit:
-		return fmt.Errorf("ilp: LP relaxation hit its iteration limit")
+		return fmt.Errorf("ilp: LP relaxation hit its iteration limit at node %d", w.nodes)
 	}
-	if c := ps.cfg.cert; c != nil {
+	if c := s.cfg.cert; c != nil {
 		// The node's own duals now justify its bound (and its children's,
 		// until they are solved themselves).
 		nd.certDual = c.addDual(sol.DualValues)
 	}
 
-	bound := toMaxForm(ps.maximize, sol.Objective)
-	ps.observePseudoCost(nd, bound)
-	hasInc, incObj := ps.incumbentView()
-	if hasInc && bound <= incObj+pruneSlackFor(&ps.cfg, incObj) {
-		certLeafBound(ps.cfg.cert, nd)
+	bound := toMaxForm(s.maximize, sol.Objective)
+	s.observePseudoCost(nd, bound)
+	hasInc, incObj := s.incumbentView()
+	if hasInc && bound <= incObj+pruneSlackFor(&s.cfg, incObj) {
+		certLeafBound(s.cfg.cert, nd)
 		return nil
 	}
 
-	branchVar := pickBranch(ps.prob, &ps.cfg, sol.X, ps.pseudoCost)
+	branchVar := pickBranch(s.prob, &s.cfg, sol.X, s.pseudoCost)
 	if branchVar < 0 {
 		// Integral: publish a new incumbent.
-		ps.offerIncumbent(w.work, sol.X)
-		certLeafBound(ps.cfg.cert, nd)
+		s.offerIncumbent(w.work, sol.X)
+		certLeafBound(s.cfg.cert, nd)
 		return nil
 	}
 
@@ -456,83 +448,84 @@ func (w *pworker) process(nd *node) error {
 	nd.basis = sol.Basis
 	// Read the branch value now: sol may be a volatile solution whose
 	// backing arrays the dive's re-solves recycle.
-	frac := sol.X[ps.prob.integer[branchVar]]
+	frac := sol.X[s.prob.integer[branchVar]]
 
 	// Dive until a first incumbent exists: without one, best-first cannot
 	// prune and degrades into breadth-first over bound plateaus. (The root
 	// dive already ran in prepareRoot.)
-	if !ps.cfg.disableDive && !hasInc {
-		offer := func(x []float64) { ps.offerIncumbent(w.work, x) }
-		if err := diveFrom(ps.prob, &ps.cfg, nd, sol.X, w.solveRelaxation, offer); err != nil {
+	if !s.cfg.disableDive && !hasInc {
+		offer := func(x []float64) { s.offerIncumbent(w.work, x) }
+		if err := diveFrom(s.prob, &s.cfg, nd, sol.X, w.solveRelaxation, offer); err != nil {
 			return err
 		}
-		if h, inc := ps.incumbentView(); h && bound <= inc+pruneSlackFor(&ps.cfg, inc) {
-			certLeafBound(ps.cfg.cert, nd)
+		if h, inc := s.incumbentView(); h && bound <= inc+pruneSlackFor(&s.cfg, inc) {
+			certLeafBound(s.cfg.cert, nd)
 			return nil
 		}
 	}
 
-	ps.pushChildren(nd, branchVar, frac, bound)
+	s.pushChildren(nd, branchVar, frac, bound)
 	return nil
 }
 
 // assemble builds the Solution after all workers have stopped. No locks are
-// needed: run has already joined every worker goroutine. The root-prep
-// effort (the root node itself, cuts, dive) is credited to worker 0 so the
-// per-worker stats still sum to the solution totals.
-func (ps *parallelSearch) assemble() *Solution {
-	pr := ps.prep
-	ps.stats[0].Nodes += pr.nodes
-	ps.stats[0].LPIterations += pr.lpIters
-	ps.stats[0].WarmAttempts += pr.warmAttempts
-	ps.stats[0].WarmHits += pr.warmHits
-	lpIters := 0
-	warmAttempts, warmHits := 0, 0
-	for _, st := range ps.stats {
-		lpIters += st.LPIterations
-		warmAttempts += st.WarmAttempts
-		warmHits += st.WarmHits
+// needed: run has already joined every worker goroutine.
+func (s *search) assemble() *Solution {
+	pr := s.prep
+	total := pr.effort
+	perWorker := make([]WorkerStats, s.workers)
+	for id, w := range s.pool {
+		total.merge(w.effort)
+		perWorker[id] = w.workerStats()
 	}
+	// The root-prep effort (the root node itself, cuts, dives) is credited
+	// to worker 0 so the per-worker stats still sum to the solution totals.
+	w0 := pr.effort
+	if s.pool != nil {
+		w0.merge(s.pool[0].effort)
+	}
+	perWorker[0] = w0.workerStats()
+	k := total.kstats
 	sol := &Solution{
-		Nodes:                    ps.nodes,
-		LPIterations:             lpIters,
-		Elapsed:                  time.Since(ps.started),
-		RootObjective:            ps.rootObjective,
-		RootDuals:                ps.rootDuals,
-		Workers:                  ps.workers,
-		PerWorker:                ps.stats,
-		WarmAttempts:             warmAttempts,
-		WarmHits:                 warmHits,
-		WarmIterations:           ps.warmIters + pr.warmIters,
-		ColdIterations:           ps.coldIters + pr.coldIters,
-		ColdSolves:               ps.coldSolves + pr.coldSolves,
+		Nodes:                    s.nodes,
+		LPIterations:             total.lpIters,
+		Elapsed:                  time.Since(s.started),
+		RootObjective:            pr.rootObjective,
+		RootDuals:                pr.rootDuals,
+		Workers:                  s.workers,
+		PerWorker:                perWorker,
+		WarmAttempts:             total.warmAttempts,
+		WarmHits:                 total.warmHits,
+		WarmIterations:           total.warmIters,
+		ColdIterations:           total.coldIters,
+		ColdSolves:               total.coldSolves,
 		PresolveFixed:            pr.presolveFixed,
 		PresolveTightened:        pr.presolveTightened,
 		CutsAdded:                pr.cutsAdded,
 		CutsActive:               pr.cutsActive,
-		Etas:                     ps.kstats.etas + pr.kstats.etas,
-		Refactorizations:         ps.kstats.refactorizations + pr.kstats.refactorizations,
-		DevexResets:              ps.kstats.devexResets + pr.kstats.devexResets,
-		Updates:                  ps.kstats.updates + pr.kstats.updates,
-		BoundFlips:               ps.kstats.boundFlips + pr.kstats.boundFlips,
-		AdaptiveRefactorizations: ps.kstats.adaptiveRefacs + pr.kstats.adaptiveRefacs,
-		FactorNnz:                max(ps.kstats.factorNnz, pr.kstats.factorNnz),
-		KernelFallbacks:          ps.kstats.kernelFallbacks + pr.kstats.kernelFallbacks,
+		Etas:                     k.etas,
+		Refactorizations:         k.refactorizations,
+		DevexResets:              k.devexResets,
+		Updates:                  k.updates,
+		BoundFlips:               k.boundFlips,
+		AdaptiveRefactorizations: k.adaptiveRefacs,
+		FactorNnz:                k.factorNnz,
+		KernelFallbacks:          k.kernelFallbacks,
 		RootBasis:                pr.basis,
 	}
-	sol.Interrupted = ps.interrupted
-	if ps.hasInc {
-		sol.X = ps.incumbent
-		sol.Objective = fromMaxForm(ps.maximize, ps.incObj)
+	sol.Interrupted = s.interrupted
+	if s.hasInc {
+		sol.X = s.incumbent
+		sol.Objective = fromMaxForm(s.maximize, s.incObj)
 		sol.BestBound = sol.Objective
 		sol.BoundKnown = true
 	}
 	switch {
-	case ps.unbound:
+	case s.unbound:
 		sol.Status = StatusUnbounded
-	case ps.limited:
-		sol.Status = stopStatus(ps.hasInc, ps.interrupted)
-		bound := bestOpenBound(&ps.open)
+	case s.limited:
+		sol.Status = stopStatus(s.hasInc, s.interrupted)
+		bound := bestOpenBound(&s.open)
 		if math.IsInf(bound, -1) && pr.nodes > 0 {
 			// Stopped with an empty frontier (e.g. during root prep): the
 			// root relaxation is still a proven bound.
@@ -545,29 +538,22 @@ func (ps *parallelSearch) assemble() *Solution {
 			sol.BestBound = 0
 			sol.BoundKnown = false
 		} else {
-			if ps.hasInc && ps.incObj > bound {
-				bound = ps.incObj
+			if s.hasInc && s.incObj > bound {
+				bound = s.incObj
 			}
-			sol.BestBound = fromMaxForm(ps.maximize, bound)
+			sol.BestBound = fromMaxForm(s.maximize, bound)
 			sol.BoundKnown = true
-			if ps.hasInc {
-				sol.Gap = math.Abs(bound-ps.incObj) / math.Max(1, math.Abs(ps.incObj))
+			if s.hasInc {
+				sol.Gap = math.Abs(bound-s.incObj) / math.Max(1, math.Abs(s.incObj))
 			}
 		}
-	case ps.hasInc:
+	case s.hasInc:
 		sol.Status = StatusOptimal
 	default:
 		sol.Status = StatusInfeasible
 	}
-	if c := ps.cfg.cert; c != nil {
-		sol.Certificate, sol.CertificateNote = c.finalize(sol.Status, ps.hasInc, ps.incumbent, ps.incObj)
+	if c := s.cfg.cert; c != nil {
+		sol.Certificate, sol.CertificateNote = c.finalize(sol.Status, s.hasInc, s.incumbent, s.incObj)
 	}
 	return sol
-}
-
-func fromMaxForm(maximize bool, obj float64) float64 {
-	if maximize {
-		return obj
-	}
-	return -obj
 }

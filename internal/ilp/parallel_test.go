@@ -98,8 +98,8 @@ func checkWorkerStats(t *testing.T, sol *Solution, workers int) {
 	}
 }
 
-// TestParallelEquivalenceRandom checks that parallel solves prove the same
-// optimal objective and status as the sequential solver on random knapsack
+// TestParallelEquivalenceRandom checks that multi-worker solves prove the
+// same optimal objective and status as one worker on random knapsack
 // and set-cover instances. Run under -race this also exercises the shared
 // frontier, incumbent and pseudo-cost tables for data races.
 func TestParallelEquivalenceRandom(t *testing.T) {
@@ -141,7 +141,7 @@ var featureModes = []struct {
 // TestParallelEquivalenceWithFeatures checks that warm starts, root presolve
 // and cover cuts never change the proven answer: for every feature mode and
 // worker count in {1, 2, 4}, status, objective and best bound must match a
-// fully-featured sequential reference solve.
+// fully-featured one-worker reference solve.
 func TestParallelEquivalenceWithFeatures(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 4; trial++ {
@@ -263,8 +263,9 @@ func TestParallelNodeLimit(t *testing.T) {
 	}
 }
 
-// TestParallelTimeLimitImmediate mirrors the sequential immediate-timeout
-// test: a 1ns budget must stop the search on the very first limit check.
+// TestParallelTimeLimitImmediate repeats the one-worker immediate-timeout
+// test at four workers: a 1ns budget must stop the search on the very first
+// limit check.
 func TestParallelTimeLimitImmediate(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := randomKnapsack(t, rng, 15)
@@ -280,9 +281,8 @@ func TestParallelTimeLimitImmediate(t *testing.T) {
 	}
 }
 
-// TestWithWorkersDefaultSequential checks WithWorkers(1) and the implicit
-// default on a single-CPU box take the sequential path (Workers == 1 in
-// the stats) and agree with an explicit sequential solve.
+// TestWithWorkersSequentialStats checks that WithWorkers(1) reports one
+// worker whose stats carry the whole solve, and the known optimum.
 func TestWithWorkersSequentialStats(t *testing.T) {
 	p := knapsackProblem(t, []float64{60, 100, 120}, []float64{10, 20, 30}, 50)
 	sol := solveOptimal(t, p, WithWorkers(1))

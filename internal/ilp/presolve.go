@@ -24,14 +24,14 @@ const (
 	tightenPasses = 4
 )
 
-// rootPrep is the outcome of processing the root node once, shared by the
-// sequential and parallel searches. The root relaxation is solved, cover
-// cuts tighten it, the diving heuristic hunts for a first incumbent, and
-// presolve (reduced-cost fixing plus bound tightening) shrinks the integer
-// boxes. The prep fully accounts for the root node — it counts it in nodes,
-// records the pre-cut root objective and duals, and either terminates the
-// solve (infeasible / unbounded / pruned / integral root) or hands the two
-// branched children to the search loop.
+// rootPrep is the outcome of processing the root node once, before the
+// search starts. The root relaxation is solved, cover cuts tighten it, the
+// diving heuristic hunts for a first incumbent, and presolve (reduced-cost
+// fixing plus bound tightening) shrinks the integer boxes. The prep fully
+// accounts for the root node — it counts it in nodes, records the pre-cut
+// root objective and duals, and either terminates the solve (infeasible /
+// unbounded / pruned / integral root) or hands the two branched children to
+// the search. The search's worker 0 then keeps solving on work and ws.
 type rootPrep struct {
 	work *lp.Problem   // problem clone carrying any cut rows
 	ws   *lp.Workspace // workspace primed with the final root factorization
@@ -54,14 +54,10 @@ type rootPrep struct {
 	incObj    float64 // maximize form
 	incumbent []float64
 
-	nodes   int // 1 once the root relaxation has been solved
-	lpIters int
+	effort // nodes is 1 once the root relaxation has been solved
 
-	warmAttempts, warmHits, warmIters int
-	coldSolves, coldIters             int
-	kstats                            kernelStats
-	presolveFixed, presolveTightened  int
-	cutsAdded, cutsActive             int
+	presolveFixed, presolveTightened int
+	cutsAdded, cutsActive            int
 }
 
 // prepareRoot processes the root node: lattice-snap the integer bounds,
@@ -113,7 +109,7 @@ func prepareRoot(p *Problem, cfg *options, started time.Time) (*rootPrep, error)
 
 	// solve re-solves the root problem under the given integer boxes,
 	// accumulating iteration and warm-start accounting exactly like the
-	// search loops do. extra options ride along on this solve only.
+	// search workers do. extra options ride along on this solve only.
 	bsc := newBoundScratch(len(p.integer))
 	solve := func(lo, hi []float64, basis *lp.Basis, extra ...lp.Option) (*lp.Solution, error) {
 		if err := applyNodeBounds(pr.work, p.integer, &node{lo: lo, hi: hi}, bsc); err != nil {
@@ -130,15 +126,7 @@ func prepareRoot(p *Problem, cfg *options, started time.Time) (*rootPrep, error)
 		if err != nil {
 			return nil, fmt.Errorf("ilp: relaxation: %w", err)
 		}
-		pr.lpIters += sol.Iterations
-		pr.kstats.add(sol)
-		if sol.Warm {
-			pr.warmHits++
-			pr.warmIters += sol.Iterations
-		} else {
-			pr.coldSolves++
-			pr.coldIters += sol.Iterations
-		}
+		pr.count(sol)
 		return sol, nil
 	}
 
@@ -147,7 +135,7 @@ func prepareRoot(p *Problem, cfg *options, started time.Time) (*rootPrep, error)
 		return pr, err
 	}
 	// Dive steps read each relaxation point only until the next step
-	// solves, so, as in the search loops, they let the LP kernel recycle
+	// solves, so, as in the search, they let the LP kernel recycle
 	// the result storage; certified solves are excluded because the
 	// collector retains dual vectors. The root solve above and the
 	// post-presolve re-solve stay non-volatile: their sol.X is read after
@@ -275,14 +263,14 @@ func prepareRoot(p *Problem, cfg *options, started time.Time) (*rootPrep, error)
 
 	pr.countActiveCuts(origRows, sol.X)
 
-	// The same prune rule the search loops apply on pop.
+	// The same prune rule the search applies on pop.
 	if pr.hasInc && pr.bound <= pr.incObj+pruneSlackFor(cfg, pr.incObj) {
 		cfg.cert.leafBoundRoot(pr.lo, pr.hi)
 		return pr, nil
 	}
 
 	// Root branching. Pseudo-cost tables are necessarily empty at the root,
-	// so the estimate degenerates to the same constant the searches use.
+	// so the estimate degenerates to the same constant the search uses.
 	bv := pickBranch(p, cfg, sol.X, func(int) (float64, float64) { return 1, 1 })
 	if bv < 0 {
 		offer(sol.X) // integral root

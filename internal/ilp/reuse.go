@@ -24,12 +24,11 @@ func WithIncumbent(x []float64) Option {
 	return optionFunc(func(o *options) { o.seedX = x })
 }
 
-// WithWorkspace makes the root processing and the sequential search reuse
-// the given simplex workspace instead of allocating a fresh one, so a loop
-// of same-shaped solves keeps its factorization buffers warm. The workspace
-// must not be shared by concurrent solves. Parallel workers always allocate
-// private workspaces; with more than one worker the external workspace only
-// serves the root.
+// WithWorkspace makes the root processing and search worker 0 reuse the
+// given simplex workspace instead of allocating a fresh one, so a loop of
+// same-shaped solves keeps its factorization buffers warm, at any worker
+// count. The workspace must not be shared by concurrent solves. Workers
+// beyond the first allocate private workspaces.
 func WithWorkspace(ws *lp.Workspace) Option {
 	return optionFunc(func(o *options) { o.extWS = ws })
 }

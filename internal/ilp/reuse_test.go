@@ -62,8 +62,8 @@ func TestWithIncumbentSurvivesPreRootCancel(t *testing.T) {
 }
 
 // TestPreRootCancelBoundUnknownAtAnyWorkerCount repeats the pre-root
-// cancellation with the worker count pinned, so both the sequential and the
-// parallel search's limit paths are covered whatever GOMAXPROCS is: the
+// cancellation with the worker count pinned, so the limit path is covered
+// at one worker and at two whatever GOMAXPROCS is: the
 // seeded incumbent survives, but no bound may be claimed.
 func TestPreRootCancelBoundUnknownAtAnyWorkerCount(t *testing.T) {
 	for _, w := range []int{1, 2} {

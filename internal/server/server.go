@@ -248,7 +248,7 @@ type OptimizeRequest struct {
 	// Existing lists already-deployed monitors to keep (incremental mode).
 	Existing []model.MonitorID `json:"existing,omitempty"`
 	// Workers is the branch-and-bound worker count (0 = GOMAXPROCS,
-	// 1 = sequential).
+	// 1 = one deterministic worker).
 	Workers int `json:"workers,omitempty"`
 	// Kernel selects the LP simplex kernel: "sparse"/"lu" (the default,
 	// sparse LU factorization with Forrest-Tomlin updates), "eta" (the
