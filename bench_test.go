@@ -226,7 +226,17 @@ func BenchmarkMidMinCost(b *testing.B) {
 // it through the Lagrangian coordinator). Its per-solve allocation is what
 // sets the resident-memory peak of a cold planning cycle; run it with
 // -benchmem.
-func BenchmarkScaleMaxUtil(b *testing.B) {
+func BenchmarkScaleMaxUtil(b *testing.B) { benchScaleMaxUtil(b) }
+
+// BenchmarkScaleMaxUtilMonolithic is BenchmarkScaleMaxUtil with the
+// decomposition gate off: the same instance, one worker, solved by the
+// monolithic branch-and-bound. The pair compares the coordinator with the
+// monolithic solver on the scale row.
+func BenchmarkScaleMaxUtilMonolithic(b *testing.B) {
+	benchScaleMaxUtil(b, core.WithoutDecomposition())
+}
+
+func benchScaleMaxUtil(b *testing.B, opts ...core.Option) {
 	sys, err := synth.Generate(synth.Config{Seed: 7919, Monitors: 1500, Attacks: 300, Segments: 30})
 	if err != nil {
 		b.Fatalf("synth: %v", err)
@@ -236,7 +246,7 @@ func BenchmarkScaleMaxUtil(b *testing.B) {
 		b.Fatalf("index: %v", err)
 	}
 	budget := sys.TotalMonitorCost() * 0.22
-	opt := core.NewOptimizer(idx, core.WithWorkers(1))
+	opt := core.NewOptimizer(idx, append([]core.Option{core.WithWorkers(1)}, opts...)...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := opt.MaxUtility(budget)

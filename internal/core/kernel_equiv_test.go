@@ -178,8 +178,9 @@ func synthIndex(t *testing.T, cfg synth.Config) *model.Index {
 }
 
 // TestLUKernelCountersPinned pins the LU kernel's pivot sequence on E7
-// (400x100, LU pinned) and mid-size MinCost (350x280, target 0.9 clamped,
-// auto kernel) solves to exact objectives and counters. The counters are
+// (400x100, LU pinned), mid-size MinCost (350x280, target 0.9 clamped,
+// auto kernel) and scale MaxUtility (1500x300 in 30 segments, default
+// configuration) solves to exact objectives and counters. The counters are
 // those of dual steepest-edge pricing, which takes a different pivot path
 // from the Dantzig rule it replaced on purpose; the objectives are the
 // Dantzig-era values and must never move. Pure speed changes to the kernel
@@ -191,40 +192,54 @@ func synthIndex(t *testing.T, cfg synth.Config) *model.Index {
 // iteration counts pin the branch-and-bound tree at one worker as well. The
 // search once expanded the farther rounding first on bound ties, which cost
 // this row 1,591 nodes and 43,866 LP iterations.
+//
+// The scale-maxutil row is the benchmark's scale instance at 22% budget,
+// which the decomposition gate routes through the Lagrangian coordinator.
+// Its seeded oracle solves stop their free root dives at the seed; without
+// that cutoff the row took 79,900 LP iterations for the same optimum and
+// nodes. Decomposed results carry no kernel counters, so its flips and
+// updates read zero.
 func TestLUKernelCountersPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("pinned pivot counts were recorded on amd64")
 	}
-	e7 := synthIndex(t, synth.Config{Seed: 1, Monitors: 400, Attacks: 100})
+	e7 := synth.Config{Seed: 1, Monitors: 400, Attacks: 100}
+	scale := synth.Config{Seed: 7919, Monitors: 1500, Attacks: 300, Segments: 30}
+	mid := func(seed int64) synth.Config { return synth.Config{Seed: seed, Monitors: 350, Attacks: 280} }
+	indexes := map[synth.Config]*model.Index{}
 	for _, c := range []struct {
 		name                         string
-		seed                         int64
+		sys                          synth.Config
+		lu                           bool // pin the LU kernel; other rows run the default
 		mincost                      bool
 		budget                       float64 // MaxUtility rows: fraction of the total monitor cost
 		objective                    float64
 		iters, flips, updates, nodes int
 	}{
-		{"e7-maxutil", 0, false, 0.3, 0.9946432839388145, 998, 0, 762, 1},
-		{"e7-maxutil-22", 0, false, 0.22, 0.9604754222434672, 21831, 2475, 34764, 1447},
-		{"e7-mincost", 0, true, 0, 5508.649999999995, 351, 280, 351, 1},
-		{"mid-mincost-s1", 1, true, 0, 6099.129999999997, 428, 393, 428, 1},
-		{"mid-mincost-s2", 2, true, 0, 5795.630000000001, 439, 385, 439, 1},
-		{"mid-mincost-s3", 3, true, 0, 6592.400000000002, 428, 412, 428, 1},
+		{"e7-maxutil", e7, true, false, 0.3, 0.9946432839388145, 998, 0, 762, 1},
+		{"e7-maxutil-22", e7, true, false, 0.22, 0.9604754222434672, 21831, 2475, 34764, 1447},
+		{"e7-mincost", e7, true, true, 0, 5508.649999999995, 351, 280, 351, 1},
+		{"mid-mincost-s1", mid(1), false, true, 0, 6099.129999999997, 428, 393, 428, 1},
+		{"mid-mincost-s2", mid(2), false, true, 0, 5795.630000000001, 439, 385, 439, 1},
+		{"mid-mincost-s3", mid(3), false, true, 0, 6592.400000000002, 428, 412, 428, 1},
+		{"scale-maxutil", scale, false, false, 0.22, 0.98374527717755289, 76690, 0, 0, 6617},
 	} {
+		idx := indexes[c.sys]
+		if idx == nil {
+			idx = synthIndex(t, c.sys)
+			indexes[c.sys] = idx
+		}
+		opts := []Option{WithWorkers(1)}
+		if c.lu {
+			opts = append(opts, WithKernel(lp.KernelLU))
+		}
 		var res *Result
 		var err error
-		if c.seed == 0 {
-			opts := []Option{WithWorkers(1), WithKernel(lp.KernelLU)}
-			if c.mincost {
-				res, err = NewOptimizer(e7, append(opts, WithClampToAchievable())...).
-					MinCost(CoverageTargets{Global: 0.9})
-			} else {
-				res, err = NewOptimizer(e7, opts...).MaxUtility(e7.System().TotalMonitorCost() * c.budget)
-			}
-		} else {
-			idx := synthIndex(t, synth.Config{Seed: c.seed, Monitors: 350, Attacks: 280})
-			res, err = NewOptimizer(idx, WithWorkers(1), WithClampToAchievable()).
+		if c.mincost {
+			res, err = NewOptimizer(idx, append(opts, WithClampToAchievable())...).
 				MinCost(CoverageTargets{Global: 0.9})
+		} else {
+			res, err = NewOptimizer(idx, opts...).MaxUtility(idx.System().TotalMonitorCost() * c.budget)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)

@@ -200,7 +200,14 @@ func prepareRoot(p *Problem, cfg *options, started time.Time) (*rootPrep, error)
 				return pr, nil
 			}
 		}
-		if err := diveFrom(p, cfg, root, sol.X, solveNode, offer); err != nil {
+		// A seeded solve starts with an incumbent, and a free-dive step
+		// whose LP falls below the search's prune line can only reach
+		// points offer rejects: the dive gives such steps up.
+		freeCut := math.Inf(-1)
+		if cfg.seed != nil {
+			freeCut = pr.incObj + pruneSlackFor(cfg, pr.incObj)
+		}
+		if err := diveWithCutoff(p, cfg, root, sol.X, freeCut, solveNode, offer); err != nil {
 			return pr, err
 		}
 		if closed() {

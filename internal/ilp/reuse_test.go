@@ -3,7 +3,9 @@ package ilp
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
+	"time"
 
 	"secmon/internal/lp"
 )
@@ -30,6 +32,68 @@ func TestWithIncumbentSeedsFeasiblePoint(t *testing.T) {
 	}
 	if sol.Status != StatusOptimal || math.Abs(sol.Objective-8) > 1e-9 {
 		t.Fatalf("got status %v objective %v, want optimal 8", sol.Status, sol.Objective)
+	}
+}
+
+// TestSeededFreeDiveStopsAtIncumbent checks that a seeded root prep gives
+// up free-dive steps that can no longer beat its incumbent. The knapsack's
+// root bound lies above every integer point, so the face dive fails and
+// the free dive runs. Unseeded, it walks to integrality. Seeded at the
+// optimum, or at a feasible point better than the unseeded dive's result,
+// it must stop sooner: fewer root LP solves and iterations. Cuts and
+// presolve are off in the prep so the dives are its only difference. The
+// seeded solves must keep the unseeded optimum.
+func TestSeededFreeDiveStopsAtIncumbent(t *testing.T) {
+	p := randomKnapsack(t, rand.New(rand.NewSource(3)), 60)
+	ref, err := p.Solve(WithWorkers(1))
+	if err != nil || ref.Status != StatusOptimal {
+		t.Fatalf("unseeded solve: %v, %+v", err, ref)
+	}
+	prep := func(extra ...Option) *rootPrep {
+		cfg, _ := p.configure(append([]Option{WithWorkers(1), WithoutCuts(), WithoutPresolve()}, extra...))
+		pr, err := prepareRoot(p, &cfg, time.Now())
+		if err != nil {
+			t.Fatalf("root prep: %v", err)
+		}
+		return pr
+	}
+	free := prep()
+	if free.bound <= ref.Objective+1e-6 || !free.hasInc || free.incObj >= ref.Objective {
+		t.Fatalf("root bound %v, dive incumbent %v, optimum %v: the face dive must fail and the free dive fall short",
+			free.bound, free.incObj, ref.Objective)
+	}
+
+	// A feasible non-optimal seed: the optimum without its least valuable item.
+	worse := append([]float64(nil), ref.X...)
+	drop := lp.VarID(-1)
+	for _, v := range p.integer {
+		if worse[v] > 0.5 && (drop < 0 || p.lp.ObjectiveCoefficient(v) < p.lp.ObjectiveCoefficient(drop)) {
+			drop = v
+		}
+	}
+	worse[drop] = 0
+	if w := ref.Objective - p.lp.ObjectiveCoefficient(drop); w <= free.incObj {
+		t.Fatalf("seed objective %v does not beat the unseeded dive's %v", w, free.incObj)
+	}
+
+	for _, seed := range []struct {
+		name string
+		x    []float64
+	}{{"optimum", ref.X}, {"feasible", worse}} {
+		pr := prep(WithIncumbent(seed.x))
+		solves, freeSolves := pr.warmHits+pr.coldSolves, free.warmHits+free.coldSolves
+		if solves >= freeSolves || pr.lpIters >= free.lpIters {
+			t.Errorf("%s seed: root prep took %d LP solves and %d iterations, unseeded %d and %d",
+				seed.name, solves, pr.lpIters, freeSolves, free.lpIters)
+		}
+		sol, err := p.Solve(WithWorkers(1), WithIncumbent(seed.x))
+		if err != nil {
+			t.Fatalf("%s seed: %v", seed.name, err)
+		}
+		if sol.Status != StatusOptimal || sol.Objective != ref.Objective {
+			t.Errorf("%s seed: status %v objective %v, unseeded optimum %v",
+				seed.name, sol.Status, sol.Objective, ref.Objective)
+		}
 	}
 }
 

@@ -300,6 +300,7 @@ type sparseState struct {
 	accMark  []int32   // matrix-build scratch, max(n,m)-length
 	order    []int32   // refactorization column ordering
 	inTarget []bool
+	inBasis  []bool // installColumns' basis membership mark
 	rowFree  []bool
 
 	// LU-kernel scratch. rowv is the row-space FTRAN workload vector and
@@ -624,19 +625,14 @@ func (s *spx) installColumns(target []int32) bool {
 		inTarget[c] = true
 	}
 	rowFree := bools(&st.rowFree, s.m, false)
+	inBasis := bools(&st.inBasis, s.nCols, true)
 	for i := 0; i < s.m; i++ {
 		rowFree[i] = !inTarget[st.basis[i]]
+		inBasis[st.basis[i]] = true
 	}
 	for _, c32 := range target {
 		c := int(c32)
-		already := false
-		for i := 0; i < s.m; i++ {
-			if st.basis[i] == c {
-				already = true
-				break
-			}
-		}
-		if already {
+		if inBasis[c] {
 			continue
 		}
 		s.ftranColumn(c, st.col)
@@ -660,7 +656,9 @@ func (s *spx) installColumns(target []int32) bool {
 		} else {
 			s.appendEta(st.col, best)
 		}
+		inBasis[st.basis[best]] = false
 		st.basis[best] = c
+		inBasis[c] = true
 		rowFree[best] = false
 	}
 	return true

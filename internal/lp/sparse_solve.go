@@ -374,18 +374,71 @@ func (s *spx) pickEntering(below bool) int {
 // the block the largest pivot magnitude wins, matching pickEntering's
 // stability tie-break. If every candidate flips with infeasibility to
 // spare, the dual is unbounded and the primal infeasible: -1 is returned
-// and no flips are recorded. The walk usually stops after a short prefix,
-// so the candidates sit in a min-heap built in O(n) and are popped only as
-// far as the walk goes, instead of being fully sorted.
+// and no flips are recorded. Most pivots block at the least candidate, and
+// pickTieScan then settles the near-ties in linear scans; otherwise the
+// candidates sit in a min-heap built in O(n) and are popped only as far as
+// the walk goes, instead of being fully sorted.
 func (s *spx) pickEnteringBFRT(r int, below bool) int {
-	const pivTol = 1e-9
 	st := s.st
 	st.flips = st.flips[:0]
+	leave := st.basis[r]
+	var delta float64 // current primal infeasibility of the leaving variable
+	if below {
+		delta = st.lo[leave] - st.x[leave]
+	} else {
+		delta = st.x[leave] - st.up[leave]
+	}
+	blocks := func(j int32) bool {
+		width := st.up[j] - st.lo[j]
+		return math.IsInf(width, 1) || delta-math.Abs(st.arow[j])*width <= s.cfg.tolerance
+	}
+	cands, least := s.bfCandidates(below)
+	if least < 0 {
+		return -1
+	}
+	if blocks(cands[least].j) {
+		if q, ok := s.pickTieScan(cands, cands[least]); ok {
+			return q
+		}
+	}
+	bfHeapify(cands)
+	pending := cands
+	var best bfCand
+	for {
+		if len(pending) == 0 {
+			st.flips = st.flips[:0]
+			return -1
+		}
+		best, pending = bfPop(pending)
+		if blocks(best.j) {
+			break
+		}
+		st.flips = append(st.flips, best.j)
+		delta -= math.Abs(st.arow[best.j]) * (st.up[best.j] - st.lo[best.j])
+	}
+	bestAbs := math.Abs(st.arow[best.j])
+	for len(pending) > 0 && pending[0].ratio <= best.ratio+s.cfg.tolerance {
+		var c bfCand
+		c, pending = bfPop(pending)
+		if a := math.Abs(st.arow[c.j]); a > bestAbs {
+			best, bestAbs = c, a
+		}
+	}
+	return int(best.j)
+}
+
+// bfCandidates collects the eligible ratio test candidates of the
+// scattered pivot row into st.cands, with pickEntering's rules, and returns
+// them with the index of the least (ratio, column) one, -1 if none.
+func (s *spx) bfCandidates(below bool) ([]bfCand, int) {
+	const pivTol = 1e-9
+	st := s.st
 	sign := 1.0
 	if !below {
 		sign = -1
 	}
 	cands := st.cands[:0]
+	least := -1
 	for _, j32 := range st.atouch {
 		j := int(j32)
 		if st.stat[j] == statusBasic || st.lo[j] == st.up[j] {
@@ -408,43 +461,44 @@ func (s *spx) pickEnteringBFRT(r int, below bool) int {
 		if ratio < 0 {
 			ratio = 0
 		}
-		cands = append(cands, bfCand{ratio: ratio, j: j32})
+		c := bfCand{ratio: ratio, j: j32}
+		if least < 0 || bfLess(c, cands[least]) {
+			least = len(cands)
+		}
+		cands = append(cands, c)
 	}
 	st.cands = cands
-	bfHeapify(cands)
-	pending := cands
-	leave := st.basis[r]
-	var delta float64 // current primal infeasibility of the leaving variable
-	if below {
-		delta = st.lo[leave] - st.x[leave]
-	} else {
-		delta = st.x[leave] - st.up[leave]
-	}
-	var best bfCand
-	for {
-		if len(pending) == 0 {
-			st.flips = st.flips[:0]
-			return -1
+	return cands, least
+}
+
+// pickTieScan resolves the near-tie window of a ratio test that blocks at
+// its least candidate without heap pops. The heap walk visits candidates in
+// (ratio, column) order while their ratio is within tolerance of the
+// current pick, moving the pick on every strictly larger |a|: within the
+// window least.ratio+tol that is the first candidate in that order with the
+// largest |a|, found here in one scan. The window is chained, though: a
+// pick at a higher ratio widens it to pick.ratio+tol. When some candidate
+// lies in that widening, ok is false and the caller walks the heap.
+func (s *spx) pickTieScan(cands []bfCand, least bfCand) (q int, ok bool) {
+	st := s.st
+	tol := s.cfg.tolerance
+	window := least.ratio + tol
+	best, bestAbs := least, math.Abs(st.arow[least.j])
+	beyond := math.Inf(1) // least ratio outside the window
+	for _, c := range cands {
+		if c.ratio > window {
+			beyond = math.Min(beyond, c.ratio)
+			continue
 		}
-		best, pending = bfPop(pending)
-		j := int(best.j)
-		width := st.up[j] - st.lo[j]
-		gain := math.Abs(st.arow[j]) * width
-		if math.IsInf(width, 1) || delta-gain <= s.cfg.tolerance {
-			break
-		}
-		st.flips = append(st.flips, best.j)
-		delta -= gain
-	}
-	bestAbs := math.Abs(st.arow[best.j])
-	for len(pending) > 0 && pending[0].ratio <= best.ratio+s.cfg.tolerance {
-		var c bfCand
-		c, pending = bfPop(pending)
-		if a := math.Abs(st.arow[c.j]); a > bestAbs {
+		a := math.Abs(st.arow[c.j])
+		if a > bestAbs || (a == bestAbs && bfLess(c, best)) {
 			best, bestAbs = c, a
 		}
 	}
-	return int(best.j)
+	if beyond <= best.ratio+tol {
+		return 0, false
+	}
+	return int(best.j), true
 }
 
 // bfLess orders ratio-test candidates by ascending ratio, breaking ties on

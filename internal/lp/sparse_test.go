@@ -374,13 +374,18 @@ func fullSortBFRT(s *spx, r int, below bool) (flips []int32, q int, retie bool) 
 	return nil, -1, false
 }
 
-// TestBFRTMatchesFullSort checks the lazily popped bound-flipping ratio
-// test against the full-sort reference on random candidate sets rich in
-// exactly equal ratios, ratios inside the tolerance band, ineligible
-// columns, infinite boxes and both leaving directions: the flips (in order)
-// and the entering column must be identical.
+// TestBFRTMatchesFullSort checks the bound-flipping ratio test against the
+// full-sort reference: the flips (in order) and the entering column must be
+// identical. Three regimes run. Random candidate sets are rich in exactly
+// equal ratios, ratios inside the tolerance band, ineligible columns,
+// infinite boxes and both leaving directions. Dual-degenerate sets put 100
+// or more eligible candidates at one exact ratio with no flip, so the
+// one-pass tie scan decides them. Chained near-ties at ratios 0, 0.6*tol
+// and 1.2*tol with rising |a| move the pick out of the first tie window,
+// so the scan must hand over to the heap walk. Each path must be taken.
 func TestBFRTMatchesFullSort(t *testing.T) {
-	const nCols = 64
+	const nCols = 256
+	const tol = 1e-9
 	rng := rand.New(rand.NewSource(3))
 	st := &sparseState{
 		stat: make([]varStatus, nCols), x: make([]float64, nCols),
@@ -388,50 +393,37 @@ func TestBFRTMatchesFullSort(t *testing.T) {
 		d: make([]float64, nCols), arow: make([]float64, nCols),
 		basis: []int{nCols - 1},
 	}
-	s := &spx{cfg: &options{tolerance: 1e-9}, st: st, nCols: nCols}
-	var flipped, blocked, unbounded, reties int
-	for trial := 0; trial < 3000; trial++ {
-		below := rng.Intn(2) == 0
+	s := &spx{cfg: &options{tolerance: tol}, st: st, nCols: nCols}
+	var flipped, blocked, unbounded, reties, scanned, handed int
+
+	// setCol makes column j an eligible candidate (unless wrongSign) with
+	// the given ratio, pivot magnitude and box width.
+	setCol := func(j int, below bool, ratio, a, width float64, wrongSign bool) {
 		sign := 1.0
 		if !below {
 			sign = -1
 		}
-		st.atouch = st.atouch[:0]
-		for _, j := range rng.Perm(nCols - 1) {
-			st.atouch = append(st.atouch, int32(j))
-			ratio := []float64{0, 0.25, 0.5, 1, 1.5}[rng.Intn(5)]
-			if rng.Intn(3) == 0 {
-				ratio += float64(rng.Intn(4)) * 3e-10 // inside the tolerance band
-			}
-			a := []float64{0.5, 1, 2, 4, 1e-10}[rng.Intn(5)]
-			st.stat[j] = []varStatus{statusLower, statusUpper, statusBasic}[rng.Intn(3)]
-			if st.stat[j] == statusLower {
-				a = -a
-			}
-			if rng.Intn(10) == 0 {
-				a = -a // wrong sign: ineligible
-			}
-			st.arow[j] = sign * a
-			st.d[j] = ratio * a
-			st.lo[j] = 0
-			widths := []float64{0, 0.5, 1, 2, math.Inf(1), math.Inf(1)}
-			if trial%4 == 0 {
-				widths = widths[:4] // every box finite: the dual may be unbounded
-			}
-			st.up[j] = widths[rng.Intn(len(widths))]
+		st.atouch = append(st.atouch, int32(j))
+		if st.stat[j] == statusLower {
+			a = -a
 		}
+		if wrongSign {
+			a = -a
+		}
+		st.arow[j] = sign * a
+		st.d[j] = ratio * a
+		st.lo[j], st.up[j] = 0, width
+	}
+	// check runs both ratio tests on the current pivot row and leaving
+	// infeasibility, and tallies the outcome and the path taken.
+	check := func(trial int, below bool, infeas float64) {
 		leave := nCols - 1
 		st.stat[leave] = statusBasic
 		st.lo[leave], st.up[leave] = 0, 1
-		infeas := rng.Float64() * 8
-		if trial%8 == 0 {
-			infeas *= 100
-		}
 		st.x[leave] = -infeas
 		if !below {
 			st.x[leave] = 1 + infeas
 		}
-
 		wantFlips, wantQ, retie := fullSortBFRT(s, 0, below)
 		q := s.pickEnteringBFRT(0, below)
 		if q != wantQ || len(st.flips) != len(wantFlips) {
@@ -450,13 +442,89 @@ func TestBFRTMatchesFullSort(t *testing.T) {
 			flipped++
 		default:
 			blocked++
+			// The least candidate blocked, so the tie scan ran first.
+			cands, least := s.bfCandidates(below)
+			if sq, ok := s.pickTieScan(cands, cands[least]); ok {
+				scanned++
+				if sq != q {
+					t.Fatalf("trial %d: tie scan picks %d, ratio test %d", trial, sq, q)
+				}
+			} else {
+				handed++
+			}
 		}
 		if retie {
 			reties++
 		}
 	}
-	if flipped == 0 || blocked == 0 || unbounded == 0 || reties == 0 {
-		t.Fatalf("coverage: %d with flips, %d blocked at once, %d unbounded, %d tie-breaks off the block",
-			flipped, blocked, unbounded, reties)
+
+	for trial := 0; trial < 3000; trial++ {
+		below := rng.Intn(2) == 0
+		st.atouch = st.atouch[:0]
+		for _, j := range rng.Perm(63) {
+			ratio := []float64{0, 0.25, 0.5, 1, 1.5}[rng.Intn(5)]
+			if rng.Intn(3) == 0 {
+				ratio += float64(rng.Intn(4)) * 3e-10 // inside the tolerance band
+			}
+			a := []float64{0.5, 1, 2, 4, 1e-10}[rng.Intn(5)]
+			st.stat[j] = []varStatus{statusLower, statusUpper, statusBasic}[rng.Intn(3)]
+			widths := []float64{0, 0.5, 1, 2, math.Inf(1), math.Inf(1)}
+			if trial%4 == 0 {
+				widths = widths[:4] // every box finite: the dual may be unbounded
+			}
+			setCol(j, below, ratio, a, widths[rng.Intn(len(widths))], rng.Intn(10) == 0)
+		}
+		infeas := rng.Float64() * 8
+		if trial%8 == 0 {
+			infeas *= 100
+		}
+		check(trial, below, infeas)
+	}
+
+	for trial := 0; trial < 200; trial++ {
+		below := rng.Intn(2) == 0
+		st.atouch = st.atouch[:0]
+		ratio := []float64{0, 0.5, 1}[rng.Intn(3)]
+		ties := 100 + rng.Intn(100)
+		for k, j := range rng.Perm(nCols - 1)[:ties+rng.Intn(20)] {
+			st.stat[j] = []varStatus{statusLower, statusUpper}[rng.Intn(2)]
+			r := ratio
+			if k >= ties {
+				r += 0.5 // beyond the tie window
+			}
+			setCol(j, below, r, []float64{0.5, 1, 2, 4}[rng.Intn(4)], math.Inf(1), false)
+		}
+		before := scanned
+		check(3000+trial, below, 1+rng.Float64())
+		if scanned != before+1 {
+			t.Fatalf("trial %d: dual-degenerate ties were not settled by the tie scan", 3000+trial)
+		}
+	}
+
+	for trial := 0; trial < 200; trial++ {
+		below := rng.Intn(2) == 0
+		st.atouch = st.atouch[:0]
+		perm := rng.Perm(nCols - 1)
+		for k, ratio := range []float64{0, 0.6 * tol, 1.2 * tol} {
+			j := perm[k]
+			st.stat[j] = []varStatus{statusLower, statusUpper}[rng.Intn(2)]
+			setCol(j, below, ratio, float64(int(1)<<k), math.Inf(1), false)
+		}
+		for _, j := range perm[3 : 3+rng.Intn(40)] {
+			st.stat[j] = []varStatus{statusLower, statusUpper}[rng.Intn(2)]
+			ratio := []float64{0, 0.6 * tol, 1.2 * tol, 3 * tol, 0.5}[rng.Intn(5)]
+			setCol(j, below, ratio, []float64{0.25, 0.5}[rng.Intn(2)], math.Inf(1), false)
+		}
+		before := handed
+		check(3200+trial, below, 1+rng.Float64())
+		if handed != before+1 {
+			t.Fatalf("trial %d: chained near-ties were settled without the heap walk", 3200+trial)
+		}
+	}
+
+	if flipped == 0 || blocked == 0 || unbounded == 0 || reties == 0 || scanned == 0 || handed == 0 {
+		t.Fatalf("coverage: %d with flips, %d blocked at once, %d unbounded, %d tie-breaks off the block, "+
+			"%d settled by the tie scan, %d handed to the heap",
+			flipped, blocked, unbounded, reties, scanned, handed)
 	}
 }
