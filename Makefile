@@ -84,12 +84,12 @@ search-equivalence:
 # Sparse-vs-dense kernel cross-check: every solver feature mode under both
 # simplex kernels and worker counts {1,4}, the counter plumbing, the LU
 # kernel's pinned pivot counts, plus the kernel-alternating-workspace
-# regression tests, the dual steepest-edge weight checks and the
-# bit-identity guards of the ratio test and the hyper-sparse solves in
-# internal/lp.
+# regression tests, the auto dispatch's start-shape and no-flip checks,
+# the dual steepest-edge weight checks and the bit-identity guards of the
+# ratio test and the hyper-sparse solves in internal/lp.
 kernel-equivalence:
 	$(GO) test ./internal/core -run 'TestKernelEquivalence|TestKernelCounters|TestLUKernelCountersPinned' -count=1
-	$(GO) test ./internal/lp -run 'TestSparse|TestWorkspaceKernelAlternation|TestDSE|TestBFRT|TestLUHyperSparse|TestOrderClosure' -count=1
+	$(GO) test ./internal/lp -run 'TestSparse|TestWorkspaceKernelAlternation|TestAutoKernel|TestDSE|TestBFRT|TestLUHyperSparse|TestOrderClosure' -count=1
 
 # Warm-shared sweep equivalence lane: ParetoSweepWarm must report bit-equal
 # curves (objective, status, monitor sets) to the cold sweep across solver

@@ -204,6 +204,41 @@ func BenchmarkE7Kernels(b *testing.B) {
 	}
 }
 
+// BenchmarkSmallKernels pits the two sparse kernels on one plan-cold small
+// instance (40 monitors x 40 attacks, one worker): MaxUtility at 40% of the
+// total monitor cost, whose primal-start root auto dispatch sends to eta,
+// and MinCost at a 0.8 target clamped to the achievable coverage, whose
+// dual-start root it sends to LU. Each runs pinned to eta and to lu, so the
+// rows show what each dispatch choice costs on small bases.
+func BenchmarkSmallKernels(b *testing.B) {
+	idx := synthIndex(b, 40, 40)
+	budget := idx.System().TotalMonitorCost() * 0.4
+	for _, k := range []struct {
+		name   string
+		kernel lp.Kernel
+	}{{"eta", lp.KernelEta}, {"lu", lp.KernelLU}} {
+		b.Run("maxutil/"+k.name, func(b *testing.B) {
+			opt := core.NewOptimizer(idx, core.WithWorkers(1), core.WithKernel(k.kernel))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := opt.MaxUtility(budget); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("mincost/"+k.name, func(b *testing.B) {
+			opt := core.NewOptimizer(idx, core.WithWorkers(1), core.WithKernel(k.kernel),
+				core.WithClampToAchievable())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := opt.MinCost(core.CoverageTargets{Global: 0.8}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMidMinCost measures one cold mid-size MinCost solve (350
 // monitors x 280 attacks, global target 0.9 clamped to the achievable
 // coverage, one worker, default kernel): the instance class whose bases,

@@ -225,7 +225,7 @@ func cmdOptimize(args []string, out io.Writer) error {
 	wRedundancy := fs.Float64("w-redundancy", 0, "multi-objective weight on redundancy")
 	savePath := fs.String("save", "", "write the resulting deployment as JSON to this file")
 	workers := fs.Int("workers", 0, "branch-and-bound workers (0 = GOMAXPROCS, 1 = one deterministic worker)")
-	kernel := fs.String("kernel", "", "LP simplex kernel: sparse|lu (default, sparse LU with Forrest-Tomlin updates), eta (eta-file oracle) or dense (tableau oracle)")
+	kernel := fs.String("kernel", "", "LP simplex kernel: empty for auto (sparse LU for dual-start problems such as MinCost and for bases of 256+ rows, the eta file below that), sparse|lu (sparse LU with Forrest-Tomlin updates everywhere), eta (eta-file oracle) or dense (tableau oracle)")
 	decompose := fs.String("decompose", "auto", "graph-partitioned decomposition solver: auto (on above the size threshold), on, off")
 	certifyFlag := fs.Bool("certify", false, "emit a machine-checkable optimality certificate and verify it")
 	certifyOut := fs.String("certify-out", "", "write the certificate JSON to this file (implies -certify)")
@@ -473,7 +473,8 @@ func parseDecompose(mode string) ([]core.Option, error) {
 }
 
 // parseKernel maps the -kernel flag to an LP kernel selector; the empty
-// string defers to the solver default (sparse, i.e. the LU kernel).
+// string defers to the solver default (auto dispatch between the LU and eta
+// sparse kernels; see lp.KernelAuto).
 func parseKernel(name string) (lp.Kernel, error) {
 	switch name {
 	case "":

@@ -122,11 +122,19 @@ func (o *Optimizer) newDecompResult(d *model.Deployment, dres *decomp.Result) *R
 		Gap:         dres.Gap,
 		Interrupted: dres.Interrupted,
 		Stats: SolveStats{
-			Nodes:         dres.Nodes,
-			LPIterations:  dres.LPIterations,
-			Elapsed:       dres.Elapsed,
-			Workers:       workers,
-			Decomposition: &stats,
+			Nodes:                    dres.Nodes,
+			LPIterations:             dres.LPIterations,
+			Elapsed:                  dres.Elapsed,
+			Workers:                  workers,
+			Etas:                     dres.Kernel.Etas,
+			Refactorizations:         dres.Kernel.Refactorizations,
+			DevexResets:              dres.Kernel.DevexResets,
+			Updates:                  dres.Kernel.Updates,
+			BoundFlips:               dres.Kernel.BoundFlips,
+			AdaptiveRefactorizations: dres.Kernel.AdaptiveRefactorizations,
+			FactorNnz:                dres.Kernel.FactorNnz,
+			KernelFallbacks:          dres.Kernel.KernelFallbacks,
+			Decomposition:            &stats,
 		},
 	}
 }

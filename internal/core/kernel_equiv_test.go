@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -179,11 +180,12 @@ func synthIndex(t *testing.T, cfg synth.Config) *model.Index {
 
 // TestLUKernelCountersPinned pins the LU kernel's pivot sequence on E7
 // (400x100, LU pinned), mid-size MinCost (350x280, target 0.9 clamped,
-// auto kernel) and scale MaxUtility (1500x300 in 30 segments, default
-// configuration) solves to exact objectives and counters. The counters are
-// those of dual steepest-edge pricing, which takes a different pivot path
-// from the Dantzig rule it replaced on purpose; the objectives are the
-// Dantzig-era values and must never move. Pure speed changes to the kernel
+// auto kernel), small MinCost (40x40, target 0.8 clamped, auto kernel) and
+// scale MaxUtility (1500x300 in 30 segments, default configuration) solves
+// to exact objectives and counters. The counters are those of dual
+// steepest-edge pricing, which takes a different pivot path from the
+// Dantzig rule it replaced on purpose; the objectives are the Dantzig-era
+// values and must never move. Pure speed changes to the kernel
 // leave every pin alone, so any drift here means the pivots changed. The
 // counts are exact floating-point outcomes; other architectures may fuse
 // multiply-adds and pivot differently, so they are checked on amd64 only.
@@ -197,8 +199,16 @@ func synthIndex(t *testing.T, cfg synth.Config) *model.Index {
 // which the decomposition gate routes through the Lagrangian coordinator.
 // Its seeded oracle solves stop their free root dives at the seed; without
 // that cutoff the row took 79,900 LP iterations for the same optimum and
-// nodes. Decomposed results carry no kernel counters, so its flips and
-// updates read zero.
+// nodes. Its counters sum the segment, master and oracle solves. The
+// restricted master's convexity rows (= 1) make it dual-start, so auto
+// dispatch runs it on LU below luAutoMinDim too. With the master on eta
+// the row took 76,690 LP iterations and 6,617 nodes (392 flips and 5,269
+// updates from the LU solves of at least luAutoMinDim rows).
+//
+// The small-mincost-auto row is a plan-cold small-class MinCost solve. Its
+// coverage rows make it dual-start, so auto dispatch runs it on LU although
+// its basis has only 40 rows: no eta vector may appear, at one worker or in
+// a two-worker search's clones.
 func TestLUKernelCountersPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("pinned pivot counts were recorded on amd64")
@@ -206,13 +216,14 @@ func TestLUKernelCountersPinned(t *testing.T) {
 	e7 := synth.Config{Seed: 1, Monitors: 400, Attacks: 100}
 	scale := synth.Config{Seed: 7919, Monitors: 1500, Attacks: 300, Segments: 30}
 	mid := func(seed int64) synth.Config { return synth.Config{Seed: seed, Monitors: 350, Attacks: 280} }
+	small := synth.Config{Seed: 1, Monitors: 40, Attacks: 40}
 	indexes := map[synth.Config]*model.Index{}
 	for _, c := range []struct {
 		name                         string
 		sys                          synth.Config
 		lu                           bool // pin the LU kernel; other rows run the default
 		mincost                      bool
-		budget                       float64 // MaxUtility rows: fraction of the total monitor cost
+		level                        float64 // fraction of the total monitor cost (MaxUtility) or coverage target, 0 meaning 0.9 (MinCost)
 		objective                    float64
 		iters, flips, updates, nodes int
 	}{
@@ -222,7 +233,8 @@ func TestLUKernelCountersPinned(t *testing.T) {
 		{"mid-mincost-s1", mid(1), false, true, 0, 6099.129999999997, 428, 393, 428, 1},
 		{"mid-mincost-s2", mid(2), false, true, 0, 5795.630000000001, 439, 385, 439, 1},
 		{"mid-mincost-s3", mid(3), false, true, 0, 6592.400000000002, 428, 412, 428, 1},
-		{"scale-maxutil", scale, false, false, 0.22, 0.98374527717755289, 76690, 0, 0, 6617},
+		{"scale-maxutil", scale, false, false, 0.22, 0.98374527717755289, 68180, 17701, 33365, 6597},
+		{"small-mincost-auto", small, false, true, 0.8, 750.3500000000001, 52, 62, 52, 1},
 	} {
 		idx := indexes[c.sys]
 		if idx == nil {
@@ -233,16 +245,27 @@ func TestLUKernelCountersPinned(t *testing.T) {
 		if c.lu {
 			opts = append(opts, WithKernel(lp.KernelLU))
 		}
-		var res *Result
-		var err error
-		if c.mincost {
-			res, err = NewOptimizer(idx, append(opts, WithClampToAchievable())...).
-				MinCost(CoverageTargets{Global: 0.9})
-		} else {
-			res, err = NewOptimizer(idx, opts...).MaxUtility(idx.System().TotalMonitorCost() * c.budget)
+		target := c.level
+		if target == 0 {
+			target = 0.9
 		}
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		mincost := func(opts ...Option) *Result {
+			res, err := NewOptimizer(idx, append(opts, WithClampToAchievable())...).
+				MinCost(CoverageTargets{Global: target})
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return res
+		}
+		var res *Result
+		if c.mincost {
+			res = mincost(opts...)
+		} else {
+			var err error
+			res, err = NewOptimizer(idx, opts...).MaxUtility(idx.System().TotalMonitorCost() * c.level)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
 		}
 		obj := res.Utility
 		if c.mincost {
@@ -254,6 +277,19 @@ func TestLUKernelCountersPinned(t *testing.T) {
 			t.Errorf("%s: objective %v, %d LP iterations, %d bound flips, %d updates, %d nodes; pinned %v, %d, %d, %d, %d",
 				c.name, obj, st.LPIterations, st.BoundFlips, st.Updates, st.Nodes,
 				c.objective, c.iters, c.flips, c.updates, c.nodes)
+		}
+		// Every monolithic row runs LU: pinned, at least luAutoMinDim rows,
+		// or dual-start. A two-worker MinCost search must stay on LU in its
+		// worker clones too.
+		if res.Stats.Decomposition == nil && st.Etas != 0 {
+			t.Errorf("%s: %d etas; want every node LP on LU", c.name, st.Etas)
+		}
+		if c.mincost {
+			two := mincost(append(opts, WithWorkers(2))...)
+			if math.Abs(two.Cost-obj) > 1e-9*(1+obj) || two.Stats.Etas != 0 {
+				t.Errorf("%s at two workers: cost %v, %d etas; want %v and every node LP on LU",
+					c.name, two.Cost, two.Stats.Etas, obj)
+			}
 		}
 	}
 }

@@ -152,8 +152,48 @@ type Result struct {
 	Nodes        int
 	LPIterations int
 	Elapsed      time.Duration
+	// Kernel aggregates the sparse LP kernel counters of the same solves.
+	Kernel KernelStats
 	// Stats details the decomposition itself.
 	Stats Stats
+}
+
+// KernelStats sums the sparse LP kernel counters of a run of ILP solves
+// (see ilp.Solution); FactorNnz keeps the largest base factorization.
+type KernelStats struct {
+	Etas                     int
+	Refactorizations         int
+	DevexResets              int
+	Updates                  int
+	BoundFlips               int
+	AdaptiveRefactorizations int
+	FactorNnz                int
+	KernelFallbacks          int
+}
+
+// kernelOf reads one solve's kernel counters.
+func kernelOf(sol *ilp.Solution) KernelStats {
+	return KernelStats{
+		Etas:                     sol.Etas,
+		Refactorizations:         sol.Refactorizations,
+		DevexResets:              sol.DevexResets,
+		Updates:                  sol.Updates,
+		BoundFlips:               sol.BoundFlips,
+		AdaptiveRefactorizations: sol.AdaptiveRefactorizations,
+		FactorNnz:                sol.FactorNnz,
+		KernelFallbacks:          sol.KernelFallbacks,
+	}
+}
+
+func (k *KernelStats) add(o KernelStats) {
+	k.Etas += o.Etas
+	k.Refactorizations += o.Refactorizations
+	k.DevexResets += o.DevexResets
+	k.Updates += o.Updates
+	k.BoundFlips += o.BoundFlips
+	k.AdaptiveRefactorizations += o.AdaptiveRefactorizations
+	k.KernelFallbacks += o.KernelFallbacks
+	k.FactorNnz = max(k.FactorNnz, o.FactorNnz)
 }
 
 // instance is the shared flat view of an indexed system.

@@ -84,6 +84,7 @@ type segEval struct {
 	exact   bool // proven-optimal: safe to memoize
 	nodes   int
 	lpIters int
+	kernel  KernelStats
 	err     error
 }
 
@@ -111,6 +112,7 @@ type coordinator struct {
 	stats   Stats
 	nodes   int
 	lpIters int
+	kernel  KernelStats
 	start   time.Time
 }
 
@@ -318,7 +320,7 @@ func (sg *segment) solve(co *coordinator, lambda float64, fix map[int]int8) segE
 	ev := segEval{
 		bound: sol.BestBound, boundOK: sol.BoundKnown,
 		exact: sol.Status == ilp.StatusOptimal,
-		nodes: sol.Nodes, lpIters: sol.LPIterations,
+		nodes: sol.Nodes, lpIters: sol.LPIterations, kernel: kernelOf(sol),
 	}
 	if sol.Status == ilp.StatusOptimal || sol.Status == ilp.StatusFeasible {
 		sg.lastX = sol.X
@@ -477,6 +479,7 @@ func (co *coordinator) evaluate(lambda float64, fix map[int]int8) (evals []segEv
 		co.stats.SubproblemSolves++
 		co.nodes += ev.nodes
 		co.lpIters += ev.lpIters
+		co.kernel.add(ev.kernel)
 		if ev.exact && ev.boundOK {
 			co.segs[i].memo[keys[i]] = *ev
 			if fix == nil {
@@ -924,6 +927,7 @@ func (co *coordinator) solveMaster(fix map[int]int8) ([]bool, bool) {
 	}
 	co.nodes += sol.Nodes
 	co.lpIters += sol.LPIterations
+	co.kernel.add(kernelOf(sol))
 
 	sel := make([]bool, len(in.monitors))
 	for m, f := range in.fixed {
@@ -1240,6 +1244,7 @@ func (co *coordinator) oracle() (*Result, error) {
 	}
 	co.nodes += sol.Nodes
 	co.lpIters += sol.LPIterations
+	co.kernel.add(kernelOf(sol))
 	switch sol.Status {
 	case ilp.StatusOptimal, ilp.StatusFeasible:
 		// The reduced problem can score below an incumbent that used
@@ -1294,6 +1299,7 @@ func (co *coordinator) finish(status ilp.Status, interrupted bool) *Result {
 		Nodes:        co.nodes,
 		LPIterations: co.lpIters,
 		Elapsed:      time.Since(co.start),
+		Kernel:       co.kernel,
 		Stats:        co.stats,
 	}
 }

@@ -103,6 +103,7 @@ func MinCost(idx *model.Index, required map[model.AttackID]float64, fixed *model
 		res.Stats.SubproblemSolves++
 		res.Nodes += out.sol.Nodes
 		res.LPIterations += out.sol.LPIterations
+		res.Kernel.add(kernelOf(out.sol))
 		switch out.sol.Status {
 		case ilp.StatusOptimal:
 		case ilp.StatusInfeasible:

@@ -132,7 +132,7 @@ func (s *search) run(pr *rootPrep) (*Solution, error) {
 	for id := range s.pool {
 		work, ws := pr.work, pr.ws
 		if id > 0 {
-			work, ws = pr.work.Clone(), lp.NewWorkspace() // clones carry any root cut rows
+			work, ws = pr.work.Clone(), lp.NewWorkspace() // clones carry any root cut rows and the root's LP kernel choice
 		}
 		s.pool[id] = s.newWorker(work, ws)
 	}

@@ -125,6 +125,31 @@ func TestParallelEquivalenceRandom(t *testing.T) {
 	}
 }
 
+// TestAutoKernelWorkerClones checks that a search never flips the auto LP
+// kernel. Random set covers are dual-start — every cover row is violated
+// with the sets at zero — so auto dispatch runs them on LU at any size, and
+// every node LP of a two-worker search (root, dives, and each worker
+// clone's nodes under tightened bounds) must append no eta vector and fall
+// back to no cold oracle.
+func TestAutoKernelWorkerClones(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 6; trial++ {
+		p := randomSetCover(t, rng, 40, 60)
+		ref := solveOptimal(t, p, WithWorkers(1))
+		sol := solveOptimal(t, p, WithWorkers(2))
+		if !almostEqual(sol.Objective, ref.Objective) {
+			t.Errorf("trial %d: two workers objective %v, one worker %v", trial, sol.Objective, ref.Objective)
+		}
+		checkWorkerStats(t, sol, 2)
+		for _, s := range []*Solution{ref, sol} {
+			if s.Etas != 0 || s.KernelFallbacks != 0 || s.Updates == 0 {
+				t.Errorf("trial %d, %d workers: %d etas, %d kernel fallbacks, %d updates; want every node LP on LU",
+					trial, s.Workers, s.Etas, s.KernelFallbacks, s.Updates)
+			}
+		}
+	}
+}
+
 // featureModes enumerates every combination of the solver accelerators'
 // escape hatches, from everything on to everything off.
 var featureModes = []struct {

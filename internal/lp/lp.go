@@ -159,6 +159,9 @@ type Problem struct {
 	sense Sense
 	vars  []variable
 	cons  []constraint
+	// start is the all-logical start shape inherited from the problem
+	// this one was cloned from, startUnknown otherwise; see startShape.
+	start startShape
 }
 
 // NewProblem returns an empty linear program with the given objective sense.
@@ -293,12 +296,16 @@ func (p *Problem) ObjectiveCoefficient(v VarID) float64 {
 }
 
 // Clone returns a deep copy of the problem. Solutions of the copy are
-// independent of later mutations to the original.
+// independent of later mutations to the original. The copy keeps the
+// original's start shape, which picks the auto sparse kernel (see
+// bindSparse), so a branch-and-bound worker's copy first solved under a
+// node's tightened bounds runs the kernel its root ran.
 func (p *Problem) Clone() *Problem {
 	cp := &Problem{
 		sense: p.sense,
 		vars:  make([]variable, len(p.vars)),
 		cons:  make([]constraint, len(p.cons)),
+		start: p.startShape(),
 	}
 	copy(cp.vars, p.vars)
 	for i, c := range p.cons {
@@ -417,8 +424,9 @@ type options struct {
 	ctx           context.Context
 	kernel        Kernel
 	// kernelAuto records that kernel came from the package default rather
-	// than an explicit WithKernel pin; auto solves may pick the eta kernel
-	// on small bases (see bindSparse and luAutoMinDim).
+	// than an explicit WithKernel pin; auto solves pick the eta kernel for
+	// primal-start problems on small bases (see bindSparse and
+	// luAutoMinDim).
 	kernelAuto  bool
 	volatileSol bool
 }
@@ -427,8 +435,12 @@ type options struct {
 type Kernel int
 
 const (
-	// KernelAuto resolves to the package default kernel (sparse unless
-	// overridden with SetDefaultKernel).
+	// KernelAuto resolves to the package default kernel. Unless
+	// SetDefaultKernel pins one, that is the sparse revised simplex with a
+	// per-problem choice of basis representation: the LU kernel for
+	// dual-start problems (the all-logical start violates a row, as
+	// MinCost coverage rows do) and for bases of luAutoMinDim rows or more,
+	// the eta kernel for smaller primal-start problems.
 	KernelAuto Kernel = iota
 	// KernelSparse is the sparse revised simplex: CSR/CSC constraint
 	// matrix, a Markowitz-pivoted LU basis factorization maintained by
@@ -476,8 +488,9 @@ var defaultKernel atomic.Int32
 // globally (the golden-artifact tests pin the dense oracle, whose pivot
 // counts the artifacts record) without threading an option through every
 // call site. A kernel set here is a pin: solves honor it unconditionally.
-// Only the untouched KernelAuto default lets small-basis solves fall back to
-// the eta kernel. Not intended for per-solve selection — use WithKernel.
+// Only the untouched KernelAuto default lets small primal-start solves fall
+// back to the eta kernel. Not intended for per-solve selection — use
+// WithKernel.
 func SetDefaultKernel(k Kernel) Kernel {
 	return Kernel(defaultKernel.Swap(int32(k)))
 }

@@ -50,16 +50,20 @@ const (
 	// amortize a few pivots per factorization.
 	luMinUpdates = 4
 	// luAutoMinDim is the basis dimension below which an auto-kernel solve
-	// (no explicit WithKernel pin) runs the eta kernel instead of the LU
-	// kernel. Measured on E7 MaxUtility at 30% budget (median of 6 samples
-	// of 10 solves on a 2-CPU x86-64 container, with the LU kernel on dual
-	// steepest-edge pricing): at 200 monitors x 100 attacks the eta kernel
-	// is ~1.3x faster (20.9 vs 28.0 ms; cold Markowitz setup and
-	// per-iteration factor walks dominate small bases), at 400 x 100 the LU
-	// kernel is ~1.25x faster (31.2 vs 39.1 ms) and pulls further ahead as
-	// the eta file's growth compounds. Those roots start primal feasible,
-	// so the pricing change barely moved them (Dantzig-priced LU: 28.7 and
-	// 31.6 ms). 256 sits in the measured crossover band.
+	// (no explicit WithKernel pin) of a primal-start problem runs the eta
+	// kernel instead of the LU kernel. Dual-start problems run LU at every
+	// dimension (see bindSparse): BenchmarkSmallKernels' 40x40 MinCost takes
+	// 0.64-0.70 ms on LU and 1.26-1.38 ms on eta (GOMAXPROCS=1, 2-CPU x86-64
+	// container). The threshold was measured on E7 MaxUtility at 30% budget
+	// (median of 6 samples of 10 solves on a 2-CPU x86-64 container, with
+	// the LU kernel on dual steepest-edge pricing): at 200 monitors x 100
+	// attacks the eta kernel is ~1.3x faster (20.9 vs 28.0 ms; cold
+	// Markowitz setup and per-iteration factor walks dominate small bases),
+	// at 400 x 100 the LU kernel is ~1.25x faster (31.2 vs 39.1 ms) and
+	// pulls further ahead as the eta file's growth compounds. Those roots
+	// start primal feasible, so the pricing change barely moved them
+	// (Dantzig-priced LU: 28.7 and 31.6 ms). 256 sits in the measured
+	// crossover band.
 	luAutoMinDim = 256
 	// luFillGrowth triggers an adaptive refactorization when the live
 	// factor nonzeros exceed this multiple of the post-factorization count.

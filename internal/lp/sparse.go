@@ -270,6 +270,7 @@ type sparseState struct {
 	valid     bool   // factorization/basis are consistent for prob
 	basisID   uint64 // Basis.id the statuses/values correspond to; 0 = none
 	isLU      bool   // which sparse kernel owns the state
+	dualStart bool   // matProb's start shape, decided when mat was built
 	eta       etaFile
 	luf       luFactor
 	baseEtas  int // eta count right after the last refactorization/install
@@ -366,17 +367,6 @@ func bindSparse(p *Problem, cfg *options, ws *Workspace) *spx {
 	n, m := len(p.vars), len(p.cons)
 	st := &ws.sparse
 	s := &spx{cfg: cfg, prob: p, st: st, n: n, m: m, nCols: n + m, negate: p.sense == Minimize}
-	// The LU machinery amortizes only past a few hundred rows; below the
-	// crossover the eta file's cheap cold starts and short product-form
-	// solves win, so auto-kernel solves pick by basis dimension. Explicit
-	// WithKernel pins are honored unconditionally — differential tests and
-	// kernel benchmarks need the pinned kernel, not the heuristic.
-	s.lu = cfg.kernel != KernelEta && !(cfg.kernelAuto && m < luAutoMinDim)
-	if st.isLU != s.lu {
-		st.isLU = s.lu
-		st.valid = false
-		st.basisID = 0
-	}
 	if st.matProb != p || st.mat.n != n || st.mat.m != m {
 		st.acc = f64(&st.acc, n, true)
 		wide := n
@@ -385,7 +375,24 @@ func bindSparse(p *Problem, cfg *options, ws *Workspace) *spx {
 		}
 		st.accMark = i32s(&st.accMark, wide)
 		st.mat.build(p, st.acc, st.accMark)
+		st.dualStart = p.startShape() == startDual
 		st.matProb = p
+		st.valid = false
+		st.basisID = 0
+	}
+	// Auto-kernel solves pick by start shape and basis dimension. A
+	// dual-start problem runs LU at every size: its cold solve is a dual
+	// simplex, where dual steepest-edge pricing and the bound-flipping
+	// ratio test win even on small bases. A primal-start problem runs LU
+	// only from luAutoMinDim rows up; below it the eta file's cheap cold
+	// starts and short product-form solves win. The shape is decided once
+	// per cached matrix, so warm children, dives and tree nodes never flip
+	// kernels (a flip discards the factorization). Explicit WithKernel pins
+	// are honored unconditionally — differential tests and kernel
+	// benchmarks need the pinned kernel, not the heuristic.
+	s.lu = cfg.kernel != KernelEta && !(cfg.kernelAuto && m < luAutoMinDim && !st.dualStart)
+	if st.isLU != s.lu {
+		st.isLU = s.lu
 		st.valid = false
 		st.basisID = 0
 	}
@@ -416,6 +423,44 @@ func bindSparse(p *Problem, cfg *options, ws *Workspace) *spx {
 		st.tau = f64(&st.tau, m, false)
 	}
 	return s
+}
+
+// startShape classifies a problem's all-logical simplex start.
+type startShape uint8
+
+const (
+	startUnknown startShape = iota
+	// startPrimal: every row holds with the structurals at their lower
+	// bounds, so a cold sparse solve runs the primal simplex.
+	startPrimal
+	// startDual: some row is violated there, so a cold sparse solve parks
+	// attractive columns and runs the dual simplex (MinCost coverage rows).
+	startDual
+)
+
+// startShape reports the shape of the all-logical start under the current
+// rows, right-hand sides and lower bounds, or the shape a clone inherited.
+// The tolerance is the cold start's feasibility test at the default solve
+// tolerance (see primalStartFeasible).
+func (p *Problem) startShape() startShape {
+	if p.start != startUnknown {
+		return p.start
+	}
+	const tol = 1e-8
+	for _, c := range p.cons {
+		act := 0.0
+		for _, t := range c.terms {
+			act += t.Coeff * p.vars[t.Var].lower
+		}
+		slack := c.rhs - act
+		if c.op == GE {
+			slack = -slack
+		}
+		if slack < -tol || (c.op == EQ && slack > tol) {
+			return startDual
+		}
+	}
+	return startPrimal
 }
 
 // statuses2 sizes a status buffer, clearing it only when requested (a valid

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -283,41 +284,133 @@ func TestSetDefaultKernel(t *testing.T) {
 	}
 }
 
-// TestAutoKernelDimensionDispatch checks that a solve with no kernel pin —
-// neither WithKernel nor SetDefaultKernel — routes small bases to the eta
-// kernel (below luAutoMinDim the eta file's cheap cold starts win), while an
-// explicit sparse pin on the same problem runs the LU machinery.
+// buildCoverLP is a small MinCost-shaped LP: covering rows with positive
+// right-hand sides, so the all-logical start is primal infeasible and the
+// cold sparse solve runs the dual simplex.
+func buildCoverLP() *Problem {
+	p := NewProblem(Minimize)
+	x, _ := p.AddVariable("x", 0, 1, 3)
+	y, _ := p.AddVariable("y", 0, 1, 2)
+	z, _ := p.AddVariable("z", 0, 1, 4)
+	w, _ := p.AddVariable("w", 0, 1, 1.5)
+	p.AddConstraint("c1", []Term{{x, 1}, {y, 1}}, GE, 1)
+	p.AddConstraint("c2", []Term{{y, 1}, {z, 1}, {w, 0.5}}, GE, 1)
+	p.AddConstraint("c3", []Term{{x, 1}, {z, 1}, {w, 1}}, GE, 1)
+	p.AddConstraint("c4", []Term{{w, 1}, {z, 0.5}}, GE, 0.5)
+	return p
+}
+
+// TestAutoKernelDimensionDispatch checks the auto dispatch — no kernel pin
+// from WithKernel or SetDefaultKernel. A small primal-start problem runs the
+// eta kernel (below luAutoMinDim the eta file's cheap cold starts win); a
+// small dual-start problem runs LU, and keeps it through warm re-solves on
+// the same workspace and in clones first solved under tightened bounds; an
+// explicit sparse pin runs the LU machinery.
 func TestAutoKernelDimensionDispatch(t *testing.T) {
 	prev := SetDefaultKernel(KernelAuto)
 	defer SetDefaultKernel(prev)
+
+	onLU := func(what string, sol *Solution) {
+		t.Helper()
+		if sol.Etas != 0 {
+			t.Errorf("%s: %d etas; want the LU kernel", what, sol.Etas)
+		}
+		if sol.Updates == 0 && sol.Refactorizations == 0 {
+			t.Errorf("%s: zero updates and refactorizations; want the LU kernel", what)
+		}
+	}
+	sameObjective := func(what string, got *Solution, p *Problem) {
+		t.Helper()
+		want, err := p.Clone().Solve(WithDenseKernel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Status != StatusOptimal || want.Status != StatusOptimal {
+			t.Fatalf("%s: status %v, dense oracle %v", what, got.Status, want.Status)
+		}
+		if math.Abs(got.Objective-want.Objective) > 1e-9*(1+math.Abs(want.Objective)) {
+			t.Errorf("%s: objective %v, dense oracle %v", what, got.Objective, want.Objective)
+		}
+	}
 
 	auto, err := buildBoundedLP().Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if auto.Etas == 0 {
-		t.Errorf("auto kernel on a tiny basis reported zero etas")
+		t.Errorf("auto kernel on a tiny primal-start basis reported zero etas")
 	}
 	if auto.Updates != 0 || auto.FactorNnz != 0 {
-		t.Errorf("auto kernel on a tiny basis ran the LU machinery: %d updates, %d factor nonzeros",
+		t.Errorf("auto kernel on a tiny primal-start basis ran the LU machinery: %d updates, %d factor nonzeros",
 			auto.Updates, auto.FactorNnz)
 	}
-
 	pinned, err := buildBoundedLP().Solve(WithSparseKernel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pinned.Etas != 0 {
-		t.Errorf("pinned sparse kernel reported %d etas", pinned.Etas)
+	onLU("pinned sparse kernel", pinned)
+	sameObjective("auto primal-start", auto, buildBoundedLP())
+
+	// Dual start: cold, then warm children on one workspace after bound
+	// tightening that makes the all-logical start primal feasible. The
+	// kernel was decided when the workspace cached this matrix, so no
+	// re-solve flips to eta or falls back cold.
+	p := buildCoverLP()
+	ws := NewWorkspace()
+	cold, err := p.Solve(WithWorkspace(ws), WithWarmStart(nil))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pinned.Updates == 0 && pinned.Refactorizations == 0 {
-		t.Errorf("pinned sparse kernel reported zero updates and refactorizations")
+	onLU("auto dual-start cold", cold)
+	sameObjective("auto dual-start cold", cold, p)
+	basis := cold.Basis
+	for i, fix := range []VarID{3, 1, 2} {
+		if err := p.SetVariableBounds(fix, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := p.Solve(WithWorkspace(ws), WithWarmStart(basis))
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("warm child %d", i)
+		if !warm.Warm || warm.KernelFallbacks != 0 {
+			t.Errorf("%s: warm %v, %d kernel fallbacks; want a warm LU re-solve", what, warm.Warm, warm.KernelFallbacks)
+		}
+		if warm.Etas != 0 {
+			t.Errorf("%s: %d etas; the kernel flipped inside the tree", what, warm.Etas)
+		}
+		sameObjective(what, warm, p)
+		basis = warm.Basis
 	}
-	if auto.Objective != pinned.Objective {
-		if math.Abs(auto.Objective-pinned.Objective) > 1e-9*(1+math.Abs(pinned.Objective)) {
-			t.Errorf("auto objective %v, pinned sparse objective %v", auto.Objective, pinned.Objective)
+
+	// p's bounds now make its all-logical start feasible. A fresh problem
+	// with those bounds is primal-start and runs eta; a clone taken before
+	// the tightening keeps the original's dual-start shape, as a
+	// branch-and-bound worker's copy does at its first node.
+	fresh := buildCoverLP()
+	clone := fresh.Clone()
+	for _, fix := range []VarID{3, 1, 2} {
+		if err := fresh.SetVariableBounds(fix, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := clone.SetVariableBounds(fix, 1, 1); err != nil {
+			t.Fatal(err)
 		}
 	}
+	freshSol, err := fresh.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if freshSol.Updates != 0 || freshSol.FactorNnz != 0 {
+		t.Errorf("fresh primal-start problem ran the LU machinery: %d updates, %d factor nonzeros",
+			freshSol.Updates, freshSol.FactorNnz)
+	}
+	cloneSol, err := clone.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	onLU("clone of a dual-start problem", cloneSol)
+	sameObjective("clone of a dual-start problem", cloneSol, fresh)
 }
 
 // fullSortBFRT is the reference bound-flipping ratio test: it collects the
