@@ -137,7 +137,8 @@ loadbench:
 
 # Decomposition-equivalence lane: the decomposed MaxUtility/MinCost solvers
 # against the monolithic optimizer on block-structured systems, plus the
-# core-level equivalence sweep (modes x workers {1,4}) and gating tests.
+# core-level equivalence sweep (modes x workers {1,4}), gating tests and
+# the kernel-pin check (TestDecompositionKernelPin).
 decomp-equivalence:
 	$(GO) test ./internal/decomp -run 'TestMaxUtilityMatchesMonolithic|TestMinCostMatchesMonolithic' -count=1
 	$(GO) test ./internal/core -run 'TestDecomposition' -count=1

@@ -598,13 +598,14 @@ func BenchmarkE9Scale(b *testing.B) {
 	})
 }
 
-// BenchmarkE9Kernels repeats the E9 mincost 5000x1000 single-worker
-// decomposition solve under each sparse kernel. Every solve must still be
-// proven optimal. The integral rounding of coverage right-hand sides
-// (requiredEvidence) collapsed these subproblems to a few nodes over tiny
-// bases, where the two kernels run at parity, so `make bench` asserts no
-// eta/lu floor here — the rows are recorded as a regression canary. The
-// LU advantage is asserted on BenchmarkE7Kernels, whose 400-row bases
+// BenchmarkE9Kernels repeats the E9 mincost 5000x1000 decomposition solve
+// under each sparse kernel. The pin reaches every component solve through
+// decomp.Config.Kernel. Every solve must still be proven optimal. The
+// integral rounding of coverage right-hand sides (requiredEvidence)
+// collapsed these subproblems to a few nodes over bases of about 38 rows,
+// where neither kernel leads by much, so `make bench` asserts no eta/lu
+// floor here — the rows are recorded as a regression canary. The LU
+// advantage is asserted on BenchmarkE7Kernels, whose 400-row bases
 // exercise the factorization.
 func BenchmarkE9Kernels(b *testing.B) {
 	idx := blockIndex(b, 5000, 1000, 100, 0)

@@ -37,7 +37,7 @@ func (o *Optimizer) shouldDecompose() bool {
 }
 
 func (o *Optimizer) decompConfig() decomp.Config {
-	return decomp.Config{Workers: o.cfg.workers, Ctx: o.cfg.ctx}
+	return decomp.Config{Workers: o.cfg.workers, Ctx: o.cfg.ctx, Kernel: o.cfg.kernel}
 }
 
 // maxUtilityDecomposed runs the budgeted solve through the decomposition

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"secmon/internal/lp"
 	"secmon/internal/model"
 	"secmon/internal/synth"
 )
@@ -181,5 +182,48 @@ func TestDecompositionAnytimeScale(t *testing.T) {
 	}
 	if res.BestBound+1e-9 < res.Utility {
 		t.Fatalf("bound %v below achieved utility %v", res.BestBound, res.Utility)
+	}
+}
+
+// TestDecompositionKernelPin checks that a WithKernel pin reaches every ILP
+// solve of a decomposed solve. Auto dispatch runs the small primal-start
+// MaxUtility segments on eta and the dual-start MinCost components on LU,
+// so each pin must move one mode off its auto kernel: an eta pin appends
+// eta vectors in both modes, an LU pin none. Both pins must prove the same
+// objective.
+func TestDecompositionKernelPin(t *testing.T) {
+	idx := decompBlockIndex(t, 71, 100, 50, 4, 0.06)
+	budget := 0.3 * idx.System().TotalMonitorCost()
+	for _, mode := range []struct {
+		name  string
+		idx   *model.Index
+		solve func(o *Optimizer) (*Result, error)
+		value func(r *Result) float64
+	}{
+		{"maxutil", idx, func(o *Optimizer) (*Result, error) { return o.MaxUtility(budget) },
+			func(r *Result) float64 { return r.Utility }},
+		{"mincost", decompBlockIndex(t, 72, 80, 40, 4, 0), func(o *Optimizer) (*Result, error) {
+			return o.MinCost(CoverageTargets{Global: 0.8})
+		}, func(r *Result) float64 { return r.Cost }},
+	} {
+		var values [2]float64
+		for i, k := range []lp.Kernel{lp.KernelEta, lp.KernelLU} {
+			res, err := mode.solve(NewOptimizer(mode.idx, WithDecomposition(), WithWorkers(1),
+				WithClampToAchievable(), WithKernel(k)))
+			if err != nil {
+				t.Fatalf("%s kernel %v: %v", mode.name, k, err)
+			}
+			if res.Stats.Decomposition == nil || !res.Proven {
+				t.Fatalf("%s kernel %v: decomposed %v, proven %v", mode.name, k,
+					res.Stats.Decomposition != nil, res.Proven)
+			}
+			if eta := k == lp.KernelEta; eta != (res.Stats.Etas > 0) {
+				t.Errorf("%s kernel %v: %d eta vectors", mode.name, k, res.Stats.Etas)
+			}
+			values[i] = mode.value(res)
+		}
+		if values[0] != values[1] {
+			t.Errorf("%s: eta pin %v, LU pin %v", mode.name, values[0], values[1])
+		}
 	}
 }

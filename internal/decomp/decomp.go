@@ -28,6 +28,7 @@ import (
 
 	"secmon/internal/graph"
 	"secmon/internal/ilp"
+	"secmon/internal/lp"
 	"secmon/internal/model"
 )
 
@@ -54,6 +55,16 @@ type Config struct {
 	MaxBranchNodes int
 	// Ctx cancels the solve anytime-style; nil means context.Background().
 	Ctx context.Context
+	// Kernel pins the LP simplex kernel of every ILP solve the
+	// decomposition runs; lp.KernelAuto (the zero value) keeps the lp
+	// package's dispatch.
+	Kernel lp.Kernel
+}
+
+// solveOptions are the options every ILP solve of the decomposition
+// carries: the cancellation context, the worker count and the kernel pin.
+func (c Config) solveOptions(workers int) []ilp.Option {
+	return []ilp.Option{ilp.WithContext(c.Ctx), ilp.WithWorkers(workers), ilp.WithKernel(c.Kernel)}
 }
 
 func (c Config) withDefaults(numMonitors int) Config {

@@ -303,7 +303,7 @@ func (sg *segment) solve(co *coordinator, lambda float64, fix map[int]int8) segE
 			return segEval{err: err}
 		}
 	}
-	opts := []ilp.Option{ilp.WithWorkspace(sg.ws), ilp.WithContext(co.cfg.Ctx), ilp.WithWorkers(co.workers)}
+	opts := append(co.cfg.solveOptions(co.workers), ilp.WithWorkspace(sg.ws))
 	if sg.basis != nil {
 		opts = append(opts, ilp.WithRootBasis(sg.basis))
 	}
@@ -920,7 +920,7 @@ func (co *coordinator) solveMaster(fix map[int]int8) ([]bool, bool) {
 		return nil, false
 	}
 
-	sol, err := prob.Solve(ilp.WithContext(co.cfg.Ctx), ilp.WithWorkers(co.workers), ilp.WithMaxNodes(20000))
+	sol, err := prob.Solve(append(co.cfg.solveOptions(co.workers), ilp.WithMaxNodes(20000))...)
 	co.stats.MasterSolves++
 	if err != nil || (sol.Status != ilp.StatusOptimal && sol.Status != ilp.StatusFeasible) {
 		return nil, false
@@ -1214,7 +1214,7 @@ func (co *coordinator) oracle() (*Result, error) {
 			return nil, err
 		}
 	}
-	opts := []ilp.Option{ilp.WithContext(co.cfg.Ctx), ilp.WithWorkers(co.workers)}
+	opts := co.cfg.solveOptions(co.workers)
 	if co.bestSel != nil {
 		// The seed must respect the exclusion bounds; an incumbent can carry
 		// a provably useless monitor (greedy leftovers), so strip those.

@@ -231,10 +231,10 @@ func solveMinCostSegment(in *instance, idx *model.Index, part *graph.IndexPartit
 				}
 			}
 		}
-		out.sol, out.err = prob.Solve(ilp.WithContext(cfg.Ctx), ilp.WithWorkers(cfg.Workers), ilp.WithIncumbent(x))
+		out.sol, out.err = prob.Solve(append(cfg.solveOptions(cfg.Workers), ilp.WithIncumbent(x))...)
 		return
 	}
-	out.sol, out.err = prob.Solve(ilp.WithContext(cfg.Ctx), ilp.WithWorkers(cfg.Workers))
+	out.sol, out.err = prob.Solve(cfg.solveOptions(cfg.Workers)...)
 	return
 }
 

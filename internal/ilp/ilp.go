@@ -873,7 +873,9 @@ func diveFrom(prob *Problem, cfg *options, nd *node, x []float64,
 // instances whose optimal face is highly degenerate: whether the simplex
 // kernel happens to stop at an integral vertex is pricing-rule luck, and a
 // free dive from a fractional vertex readily degrades its way off the face.
-// Pass -Inf for the classic any-incumbent dive.
+// Pass -Inf for the classic any-incumbent dive. Every step, the first
+// included, ends the dive at its LP point's rounding when roundingAttains
+// accepts it.
 func diveWithCutoff(prob *Problem, cfg *options, nd *node, x []float64, cutoff float64,
 	solve func(*node) (*lp.Solution, error), offer func([]float64)) error {
 	maximize := prob.lp.Sense() == lp.Maximize
@@ -882,6 +884,7 @@ func diveWithCutoff(prob *Problem, cfg *options, nd *node, x []float64, cutoff f
 	materializeBounds(nd, lo, hi, nil)
 	chain := nd.basis // each dive step warm-starts from the previous optimum
 	cur := x
+	round := make([]float64, len(x)) // scratch for the rounding test
 	acceptable := func(sol *lp.Solution) bool {
 		return sol.Status == lp.StatusOptimal && toMaxForm(maximize, sol.Objective) >= cutoff
 	}
@@ -898,7 +901,7 @@ func diveWithCutoff(prob *Problem, cfg *options, nd *node, x []float64, cutoff f
 				pick, pickDist = k, dist
 			}
 		}
-		if pick < 0 {
+		if pick < 0 || roundingAttains(prob, cfg, maximize, cur, round, cutoff) {
 			offer(cur)
 			return nil
 		}
@@ -938,6 +941,37 @@ func diveWithCutoff(prob *Problem, cfg *options, nd *node, x []float64, cutoff f
 		cur = sol.X
 	}
 	return nil
+}
+
+// diveFeasTol is the feasibility tolerance of a dive's rounding test:
+// rows hold within diveFeasTol·(1+|rhs|) ≤ 1e-9·max(1,|rhs|), inside any
+// caller's relative budget check.
+const diveFeasTol = 5e-10
+
+// roundingAttains is the simple-rounding test a dive runs on each LP point
+// x: round every integer variable and accept when the point meets every
+// bound and row of the original problem (cut rows are valid for it, node
+// boxes do not bind an incumbent), its max-form objective is at least
+// cutoff, and it is within the prune slack of x's own objective. Dive LP
+// values never increase, so no later step beats an accepted point. round
+// is scratch of len(x); a rejected test does not allocate.
+func roundingAttains(prob *Problem, cfg *options, maximize bool, x, round []float64, cutoff float64) bool {
+	obj, delta := 0.0, 0.0
+	for j, xj := range x {
+		obj += prob.lp.ObjectiveCoefficient(lp.VarID(j)) * xj
+	}
+	for _, v := range prob.integer {
+		delta += prob.lp.ObjectiveCoefficient(v) * (math.Round(x[v]) - x[v])
+	}
+	lpObj, rounded := toMaxForm(maximize, obj), toMaxForm(maximize, obj+delta)
+	if rounded < cutoff || rounded < lpObj-pruneSlackFor(cfg, lpObj) {
+		return false
+	}
+	copy(round, x)
+	for _, v := range prob.integer {
+		round[v] = math.Round(x[v])
+	}
+	return feasibleWithin(prob.lp, round, diveFeasTol)
 }
 
 // stopStatus maps an early stop to its reported status: any incumbent makes

@@ -93,40 +93,47 @@ func validateSeed(p *Problem, cfg *options) *seedIncumbent {
 		}
 		snapped[v] = r + 0 // +0 normalizes -0
 	}
-	for j := range snapped {
-		lo, hi, err := p.lp.VariableBounds(lp.VarID(j))
-		if err != nil {
-			return nil
-		}
-		if snapped[j] < lo-seedFeasTol || snapped[j] > hi+seedFeasTol {
-			return nil
-		}
-	}
-	for c := 0; c < p.lp.NumConstraints(); c++ {
-		terms, op, rhs := p.lp.Constraint(lp.ConID(c))
-		act := 0.0
-		for _, t := range terms {
-			act += t.Coeff * snapped[t.Var]
-		}
-		tol := seedFeasTol * (1 + math.Abs(rhs))
-		switch op {
-		case lp.LE:
-			if act > rhs+tol {
-				return nil
-			}
-		case lp.GE:
-			if act < rhs-tol {
-				return nil
-			}
-		case lp.EQ:
-			if math.Abs(act-rhs) > tol {
-				return nil
-			}
-		}
+	if !feasibleWithin(p.lp, snapped, seedFeasTol) {
+		return nil
 	}
 	obj := 0.0
 	for j := range snapped {
 		obj += p.lp.ObjectiveCoefficient(lp.VarID(j)) * snapped[j]
 	}
 	return &seedIncumbent{x: snapped, obj: toMaxForm(p.lp.Sense() == lp.Maximize, obj)}
+}
+
+// feasibleWithin reports whether x meets every variable bound of p within
+// tol and every row within tol·(1+|rhs|). It reads p in place and does not
+// allocate.
+func feasibleWithin(p *lp.Problem, x []float64, tol float64) bool {
+	for j, xj := range x {
+		lo, hi, err := p.VariableBounds(lp.VarID(j))
+		if err != nil || xj < lo-tol || xj > hi+tol {
+			return false
+		}
+	}
+	for c := 0; c < p.NumConstraints(); c++ {
+		terms, op, rhs := p.Constraint(lp.ConID(c))
+		act := 0.0
+		for _, t := range terms {
+			act += t.Coeff * x[t.Var]
+		}
+		rowTol := tol * (1 + math.Abs(rhs))
+		switch op {
+		case lp.LE:
+			if act > rhs+rowTol {
+				return false
+			}
+		case lp.GE:
+			if act < rhs-rowTol {
+				return false
+			}
+		case lp.EQ:
+			if math.Abs(act-rhs) > rowTol {
+				return false
+			}
+		}
+	}
+	return true
 }
