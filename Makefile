@@ -73,13 +73,15 @@ stress-smoke:
 	$(GO) test ./internal/certify/stress -run 'TestStressFamilies|TestMetamorphicMatrix' \
 		-count=1 -stress.n=100
 
-# Branch-and-bound search lane: the ilp package and the core parallel and
-# feature equivalence suites at GOMAXPROCS 1 and 2 (-cpu 1,2). Solves that
-# use the default worker count then run both the inline one-worker search
-# and the multi-worker goroutine path, whatever the host's CPU count.
+# Branch-and-bound search lane: the ilp package, the core parallel and
+# feature equivalence suites, and the core entry-point table (every public
+# exact solve must carry the kernel pin, worker count and context into its
+# solve) at GOMAXPROCS 1 and 2 (-cpu 1,2). Solves that use the default
+# worker count then run both the inline one-worker search and the
+# multi-worker goroutine path, whatever the host's CPU count.
 search-equivalence:
 	$(GO) test ./internal/ilp -cpu 1,2 -count=1
-	$(GO) test ./internal/core -run 'TestParallelEquiv|TestFeatureEquiv' -cpu 1,2 -count=1
+	$(GO) test ./internal/core -run 'TestParallelEquiv|TestFeatureEquiv|TestEntryPointSettings' -cpu 1,2 -count=1
 
 # Sparse-vs-dense kernel cross-check: every solver feature mode under both
 # simplex kernels and worker counts {1,4}, the counter plumbing, the LU

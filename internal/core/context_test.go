@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"secmon/internal/ilp"
+	"secmon/internal/metrics"
 	"secmon/internal/model"
 	"secmon/internal/synth"
 )
@@ -161,5 +163,101 @@ func TestMaxUtilityUndeadlinedUnchanged(t *testing.T) {
 	}
 	if plain.Stats.Nodes != withCtx.Stats.Nodes {
 		t.Errorf("node count changed: %d vs %d", plain.Stats.Nodes, withCtx.Stats.Nodes)
+	}
+}
+
+// TestContextFallbackEveryObjective checks WithContext's contract on every
+// budgeted objective: a solve stopped before its first incumbent falls back
+// to the greedy budget-feasible deployment instead of erroring, reports its
+// gap against that objective's own value and fills the objective's result
+// fields from the fallback deployment. A node limit hit after the root LP
+// (no dive, so no incumbent) takes the same path with a proven bound, so
+// the gap is checked too.
+func TestContextFallbackEveryObjective(t *testing.T) {
+	idx, budget := e7ScaleIndex(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const q, wu, we = 0.3, 1.0, 0.5
+	weights := Objectives{Utility: 1, Richness: 0.5, Redundancy: 0.2}
+	// Each solve returns the result, its reported objective and that
+	// objective recomputed from the deployment.
+	solves := []struct {
+		name  string
+		solve func(o *Optimizer) (*Result, float64, float64, error)
+	}{
+		{"utility", func(o *Optimizer) (*Result, float64, float64, error) {
+			res, err := o.MaxUtility(budget)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			return res, res.Utility, metrics.Utility(idx, res.Deployment), nil
+		}},
+		{"weighted", func(o *Optimizer) (*Result, float64, float64, error) {
+			res, err := o.MaxWeighted(budget, weights)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			d := res.Deployment
+			return &res.Result, res.Score, weights.Utility*metrics.Utility(idx, d) +
+				weights.Richness*metrics.Richness(idx, d) + weights.Redundancy*metrics.MeanRedundancy(idx, d), nil
+		}},
+		{"expected-utility", func(o *Optimizer) (*Result, float64, float64, error) {
+			res, err := o.MaxExpectedUtility(budget, q)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			return &res.Result, res.ExpectedUtility, metrics.ExpectedUtility(idx, res.Deployment, q), nil
+		}},
+		{"earliness", func(o *Optimizer) (*Result, float64, float64, error) {
+			res, err := o.MaxEarliness(budget, wu, we)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			if !approx(res.EarlinessValue, metrics.Earliness(idx, res.Deployment)) {
+				return nil, 0, 0, fmt.Errorf("earliness %v, deployment's %v",
+					res.EarlinessValue, metrics.Earliness(idx, res.Deployment))
+			}
+			return &res.Result, res.Score, wu*metrics.Utility(idx, res.Deployment) +
+				we*metrics.Earliness(idx, res.Deployment), nil
+		}},
+	}
+	greedy := greedyFrom(idx, budget, nil)
+	for _, stop := range []struct {
+		name   string
+		opt    Option
+		status ilp.Status
+	}{
+		{"cancelled", WithContext(ctx), ilp.StatusInterrupted},
+		{"node-limit", WithSolverOptions(ilp.WithMaxNodes(1), ilp.WithoutDiving()), ilp.StatusLimit},
+	} {
+		for _, c := range solves {
+			t.Run(stop.name+"/"+c.name, func(t *testing.T) {
+				res, reported, exact, err := c.solve(NewOptimizer(idx, stop.opt))
+				if err != nil {
+					t.Fatalf("stopped solve errored: %v", err)
+				}
+				interrupted := stop.status == ilp.StatusInterrupted
+				if !res.Fallback || res.Interrupted != interrupted || res.Status != stop.status.String() {
+					t.Errorf("fallback %v, interrupted %v, status %q; want a fallback with status %q",
+						res.Fallback, res.Interrupted, res.Status, stop.status)
+				}
+				if !greedy.Equal(res.Deployment) {
+					t.Errorf("deployment %v, want the greedy %v", res.Monitors, greedy.IDs())
+				}
+				if res.Cost > budget+1e-9 || res.Budget != budget {
+					t.Errorf("cost %v, budget %v; want within %v", res.Cost, res.Budget, budget)
+				}
+				if len(res.Monitors) == 0 || !approx(reported, exact) {
+					t.Errorf("%d monitors, objective %v; want a nonempty deployment scoring %v",
+						len(res.Monitors), reported, exact)
+				}
+				if res.BoundKnown != !interrupted {
+					t.Fatalf("bound known %v; want a bound exactly when the root LP finished", res.BoundKnown)
+				}
+				if gap := math.Abs(res.BestBound-exact) / math.Max(1, math.Abs(exact)); res.BoundKnown && !approx(res.Gap, gap) {
+					t.Errorf("gap %v, want %v against the objective's own value", res.Gap, gap)
+				}
+			})
+		}
 	}
 }

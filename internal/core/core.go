@@ -169,7 +169,7 @@ type Result struct {
 	Interrupted bool `json:"interrupted,omitempty"`
 	// Fallback is true when the solver stopped with no incumbent and the
 	// deployment came from a heuristic instead: the greedy cost-benefit
-	// baseline for MaxUtility, the full deployment for MinCost.
+	// baseline for the budgeted objectives, the full deployment for MinCost.
 	Fallback bool `json:"fallback,omitempty"`
 	// BudgetShadowPrice estimates the marginal utility of one additional
 	// unit of budget, taken from the root LP relaxation's dual price of the
@@ -219,17 +219,32 @@ type options struct {
 	noPrune       bool
 	clampTargets  bool
 	corroboration int
-	certify       bool
+	// solverOptions are the WithSolverOptions pass-through; ilpOptions
+	// derives the rest of every solve's options from the fields below.
 	solverOptions []ilp.Option
 	// noSweepWarm pins ParetoSweepWarm to the cold per-point path.
 	noSweepWarm bool
 	// decompose selects the decomposition solver: 0 auto (size threshold),
-	// 1 forced on, -1 forced off. The fields below mirror solver options the
-	// decomposition coordinator needs to see directly.
+	// 1 forced on, -1 forced off.
 	decompose int
-	workers   int
-	ctx       context.Context
-	kernel    lp.Kernel
+	// The settings every solve carries, recorded once: the branch-and-bound
+	// options, the LP relaxation options of the bound shortcuts and the
+	// decomposition's Config all derive from them.
+	workers int
+	kernel  lp.Kernel
+	ctx     context.Context
+	certify bool
+}
+
+// ilpOptions derives the branch-and-bound options of every exact solve
+// from the recorded settings. The WithSolverOptions pass-through comes
+// last, so it has the final word.
+func (c *options) ilpOptions() []ilp.Option {
+	opts := []ilp.Option{ilp.WithWorkers(c.workers), ilp.WithKernel(c.kernel), ilp.WithContext(c.ctx)}
+	if c.certify {
+		opts = append(opts, ilp.WithCertificate())
+	}
+	return append(opts, c.solverOptions...)
 }
 
 type optionFunc func(*options)
@@ -268,8 +283,9 @@ func WithCorroboration(k int) Option {
 }
 
 // WithSolverOptions passes options to the branch-and-bound solver (node and
-// time limits, gap tolerance, diving ablation). Repeated uses accumulate,
-// so it composes with WithWorkers.
+// time limits, gap tolerance, diving ablation). Repeated uses accumulate.
+// They apply after the optimizer's own worker, kernel, context and
+// certification settings.
 func WithSolverOptions(opts ...ilp.Option) Option {
 	return optionFunc(func(o *options) { o.solverOptions = append(o.solverOptions, opts...) })
 }
@@ -279,10 +295,7 @@ func WithSolverOptions(opts ...ilp.Option) Option {
 // Result.Certificate. Certification forces cuts and reduced-cost presolve
 // off, so solves may explore more nodes than the default configuration.
 func WithCertificate() Option {
-	return optionFunc(func(o *options) {
-		o.certify = true
-		o.solverOptions = append(o.solverOptions, ilp.WithCertificate())
-	})
+	return optionFunc(func(o *options) { o.certify = true })
 }
 
 // WithWorkers sets the number of branch-and-bound workers; values <= 0
@@ -291,19 +304,13 @@ func WithCertificate() Option {
 // share its frontier from their own goroutines. Decomposed solves pass the
 // count to every segment, master and oracle solve.
 func WithWorkers(n int) Option {
-	return optionFunc(func(o *options) {
-		o.workers = n
-		o.solverOptions = append(o.solverOptions, ilp.WithWorkers(n))
-	})
+	return optionFunc(func(o *options) { o.workers = n })
 }
 
 // WithKernel selects the LP simplex kernel for every relaxation solve.
 // lp.KernelAuto (the zero value) defers to the solver default (sparse).
 func WithKernel(k lp.Kernel) Option {
-	return optionFunc(func(o *options) {
-		o.kernel = k
-		o.solverOptions = append(o.solverOptions, ilp.WithKernel(k))
-	})
+	return optionFunc(func(o *options) { o.kernel = k })
 }
 
 // WithDenseKernel routes every LP relaxation to the dense tableau kernel,
@@ -314,12 +321,12 @@ func WithDenseKernel() Option { return WithKernel(lp.KernelDense) }
 // or an expired deadline stops the branch-and-bound anytime-style: the best
 // incumbent found so far is returned (Status "feasible", Gap reported
 // against the proven bound), and when no incumbent exists yet the optimizer
-// falls back to a heuristic deployment (Fallback true) rather than erroring.
+// falls back to a heuristic deployment (Fallback true) rather than erroring:
+// the greedy cost-benefit deployment within the budget for every budgeted
+// objective, the full deployment for MinCost. Gap is then measured against
+// the objective's own value for the fallback deployment.
 func WithContext(ctx context.Context) Option {
-	return optionFunc(func(o *options) {
-		o.ctx = ctx
-		o.solverOptions = append(o.solverOptions, ilp.WithContext(ctx))
-	})
+	return optionFunc(func(o *options) { o.ctx = ctx })
 }
 
 // WithDecomposition forces the graph-partitioned decomposition solver on for
@@ -375,79 +382,129 @@ func (o *Optimizer) MaxUtilityIncremental(budget float64, existing *model.Deploy
 	if err != nil {
 		return nil, err
 	}
-	if len(o.idx.MonitorIDs()) == 0 {
-		res := o.emptyResult()
-		res.Budget = budget
-		return res, nil
-	}
-	if o.shouldDecompose() {
-		res, err := o.maxUtilityDecomposed(budget, fixed)
-		if err != nil {
-			return nil, err
-		}
-		if res != nil {
-			return res, nil
-		}
-		// Not decomposable: continue on the monolithic path.
-	}
-
-	res, _, err := o.maxUtilityMono(budget, fixed)
+	res, _, err := o.solve(formulationSpec{kind: kindUtility, budget: budget, fixed: fixed}, nil)
 	return res, err
 }
 
-// maxUtilityMono runs the monolithic MaxUtility solve and returns the raw
-// ILP solution alongside the result, so coordinator loops (the warm-shared
-// Pareto sweep) can chain the final root basis and incumbent into the next
-// solve. extra options are appended after the optimizer's own solver
-// options; they must be performance hints only (warm bases, seeds,
-// workspaces), never options that change the proven optimum.
-func (o *Optimizer) maxUtilityMono(budget float64, fixed *model.Deployment, extra ...ilp.Option) (*Result, *ilp.Solution, error) {
-	f, err := o.buildFormulation(formulationSpec{budget: budget, fixed: fixed})
-	if err != nil {
-		return nil, nil, err
+// solve runs the exact solve of spec and turns its outcome into a Result;
+// every exact solve in the package goes through it, so it is where
+// cross-cutting concerns are threaded. It owns the solver settings, the
+// choice between the decomposition coordinator and the monolithic ILP, the
+// status switch with its no-incumbent fallback, the kind's post-passes and
+// the Result itself. A non-nil f is spec's already-built formulation (the
+// warm paths build it first to price its relaxation); it pins the solve to
+// the monolithic ILP. extra options must be performance hints only (warm
+// bases, seeds, workspaces), never options that change the proven optimum.
+// The raw ILP solution is returned alongside the result, so re-solve loops
+// can chain its root basis; it is nil when no monolithic solve ran.
+func (o *Optimizer) solve(spec formulationSpec, f *formulation, extra ...ilp.Option) (*Result, *ilp.Solution, error) {
+	if len(o.idx.MonitorIDs()) == 0 {
+		if spec.kind == kindCost {
+			if _, err := o.requiredCounts(spec.targets); err != nil {
+				return nil, nil, err
+			}
+		}
+		res := o.emptyResult()
+		if spec.kind != kindCost {
+			res.Budget = spec.budget
+		}
+		return res, nil, nil
 	}
-	return o.solveMaxUtilityFormulation(f, budget, fixed, extra...)
-}
 
-// solveMaxUtilityFormulation runs the exact solve on an already-built
-// MaxUtility formulation; see maxUtilityMono.
-func (o *Optimizer) solveMaxUtilityFormulation(f *formulation, budget float64, fixed *model.Deployment, extra ...ilp.Option) (*Result, *ilp.Solution, error) {
-	solverOpts := o.cfg.solverOptions
-	if len(extra) > 0 {
-		solverOpts = append(append([]ilp.Option{}, solverOpts...), extra...)
+	var (
+		sol  *ilp.Solution
+		d    *model.Deployment
+		dres *decomp.Result
+		err  error
+	)
+	if f == nil && spec.paperObjective() && o.shouldDecompose() {
+		cfg := decomp.Config{Workers: o.cfg.workers, Ctx: o.cfg.ctx, Kernel: o.cfg.kernel}
+		if spec.kind == kindCost {
+			var required map[model.AttackID]float64
+			if required, err = o.requiredCounts(spec.targets); err != nil {
+				return nil, nil, err
+			}
+			dres, err = decomp.MinCost(o.idx, required, spec.fixed, cfg)
+		} else {
+			dres, err = decomp.MaxUtility(o.idx, spec.budget, spec.fixed, cfg)
+		}
+		switch {
+		case err == nil && (dres.Status == ilp.StatusOptimal || dres.Status == ilp.StatusFeasible ||
+			dres.Status == ilp.StatusInfeasible):
+			sol, d = o.decompSolution(dres), model.NewDeployment(dres.Monitors...)
+		case err != nil && !errors.Is(err, decomp.ErrNotDecomposable):
+			return nil, nil, fmt.Errorf("core: decomposed %s: %w", spec.name(), err)
+		default:
+			// Not decomposable, or a MinCost segment stopped with no
+			// incumbent: the monolithic solve runs and applies its fallback.
+			dres = nil
+		}
 	}
-	sol, err := f.prob.Solve(solverOpts...)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: max-utility solve: %w", err)
+	if sol == nil {
+		if f == nil {
+			if f, err = o.buildFormulation(spec); err != nil {
+				return nil, nil, err
+			}
+		}
+		if sol, err = f.prob.Solve(append(o.cfg.ilpOptions(), extra...)...); err != nil {
+			return nil, nil, fmt.Errorf("core: %s solve: %w", spec.name(), err)
+		}
 	}
+
+	fallback := false
 	switch sol.Status {
 	case ilp.StatusOptimal, ilp.StatusFeasible:
+		if d == nil {
+			d = f.decode(sol)
+		}
+		o.postPass(spec, d)
 	case ilp.StatusInfeasible:
-		// Only possible when fixing an existing deployment that itself
-		// exceeds... fixing never conflicts with the budget (fixed cost is
-		// excluded), so treat as a solver-level surprise.
-		return nil, nil, fmt.Errorf("core: max-utility unexpectedly infeasible")
+		if spec.kind == kindCost {
+			return nil, nil, ErrInfeasible
+		}
+		// Fixing never conflicts with the budget (fixed cost is excluded),
+		// so a budgeted formulation is never infeasible.
+		return nil, nil, fmt.Errorf("core: %s unexpectedly infeasible", spec.name())
 	case ilp.StatusLimit, ilp.StatusInterrupted:
-		// Stopped before any integer incumbent existed: fall back to the
-		// greedy cost-benefit baseline so the caller still gets a feasible
-		// deployment, reported against whatever bound the search proved.
-		res := o.maxUtilityFallback(budget, fixed, sol)
-		res.BudgetShadowPrice = sol.RootDual(f.budgetRow)
-		res.RelaxationUtility = sol.RootObjective
-		return res, sol, nil
+		// Stopped before any integer incumbent existed: fall back to a
+		// heuristic deployment so the caller still gets a feasible one,
+		// reported against whatever bound the search proved. Deploying every
+		// monitor achieves the maximum achievable coverage, so it meets the
+		// MinCost targets whenever the instance is feasible; the greedy
+		// cost-benefit baseline (seeded with the fixed monitors, whose cost
+		// does not count) fits any budget.
+		fallback = true
+		if spec.kind == kindCost {
+			d = model.NewDeployment(o.idx.MonitorIDs()...)
+		} else {
+			d = greedyFrom(o.idx, spec.budget, spec.fixed)
+		}
 	default:
-		return nil, nil, fmt.Errorf("core: max-utility solve stopped with status %v and no incumbent", sol.Status)
+		return nil, nil, fmt.Errorf("core: %s solve stopped with status %v and no incumbent", spec.name(), sol.Status)
 	}
 
-	deployment := f.decode(sol)
-	if !o.cfg.noPrune {
-		o.pruneRedundant(deployment, fixed)
-		o.canonicalizeTies(deployment, fixed)
+	res := o.newResult(d, sol)
+	if fallback {
+		res.Fallback = true
+		if res.BoundKnown {
+			obj := o.objective(spec)(d)
+			res.Gap = math.Abs(res.BestBound-obj) / math.Max(1, math.Abs(obj))
+		}
 	}
-	res := o.newResult(deployment, sol)
-	res.Budget = budget
-	res.BudgetShadowPrice = sol.RootDual(f.budgetRow)
-	res.RelaxationUtility = sol.RootObjective
+	if spec.kind != kindCost {
+		res.Budget = spec.budget
+	}
+	if dres != nil {
+		// The coordinator has no single root LP: no RelaxationUtility.
+		stats := dres.Stats
+		res.Stats.Decomposition = &stats
+		res.BudgetShadowPrice = dres.ShadowPrice
+		return res, nil, nil
+	}
+	if spec.kind != kindCost {
+		res.BudgetShadowPrice = sol.RootDual(f.budgetRow)
+		res.RelaxationUtility = sol.RootObjective
+	}
 	return res, sol, nil
 }
 
@@ -482,65 +539,8 @@ func (o *Optimizer) MinCostIncremental(targets CoverageTargets, existing *model.
 	if err != nil {
 		return nil, err
 	}
-	if len(o.idx.MonitorIDs()) == 0 {
-		for _, aid := range o.idx.AttackIDs() {
-			if _, err := o.requiredEvidence(aid, &targets); err != nil {
-				return nil, err
-			}
-		}
-		return o.emptyResult(), nil
-	}
-
-	if o.shouldDecompose() {
-		res, err := o.minCostDecomposed(targets, fixed)
-		if err != nil {
-			return nil, err
-		}
-		if res != nil {
-			return res, nil
-		}
-		// Not decomposable: continue on the monolithic path.
-	}
-
-	f, err := o.buildFormulation(formulationSpec{minCost: true, targets: &targets, fixed: fixed})
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := o.solveMinCostFormulation(f)
+	res, _, err := o.solve(formulationSpec{kind: kindCost, targets: &targets, fixed: fixed}, nil)
 	return res, err
-}
-
-// solveMinCostFormulation runs the exact solve on an already-built MinCost
-// formulation and returns the raw ILP solution alongside the result, so
-// incremental re-solve loops can chain the final root basis into the next
-// solve. extra options must be performance hints only (warm bases, seeds,
-// workspaces), never options that change the proven optimum.
-func (o *Optimizer) solveMinCostFormulation(f *formulation, extra ...ilp.Option) (*Result, *ilp.Solution, error) {
-	solverOpts := o.cfg.solverOptions
-	if len(extra) > 0 {
-		solverOpts = append(append([]ilp.Option{}, solverOpts...), extra...)
-	}
-	sol, err := f.prob.Solve(solverOpts...)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: min-cost solve: %w", err)
-	}
-	switch sol.Status {
-	case ilp.StatusOptimal, ilp.StatusFeasible:
-	case ilp.StatusInfeasible:
-		return nil, nil, ErrInfeasible
-	case ilp.StatusLimit, ilp.StatusInterrupted:
-		// Stopped before any integer incumbent existed. Deploying every
-		// monitor achieves the maximum achievable coverage, so it is
-		// feasible whenever the instance is; if even the full deployment
-		// misses a target, the instance is infeasible and the interrupted
-		// search simply did not get to prove it.
-		return o.minCostFallback(sol), sol, nil
-	default:
-		return nil, nil, fmt.Errorf("core: min-cost solve stopped with status %v and no incumbent", sol.Status)
-	}
-
-	deployment := f.decode(sol)
-	return o.newResult(deployment, sol), sol, nil
 }
 
 func (o *Optimizer) validateTargets(targets CoverageTargets) error {
@@ -598,6 +598,61 @@ func (o *Optimizer) pruneRedundant(d *model.Deployment, fixed *model.Deployment)
 			ev.Add(id)
 		}
 	}
+}
+
+// postPass makes an optimal deployment minimal, unless pruning is off.
+// Utility deployments are pruned and canonicalized over equal-cost ties;
+// expected-utility and earliness deployments drop every monitor their
+// objective does not need. MinCost and weighted deployments are kept as
+// solved.
+func (o *Optimizer) postPass(spec formulationSpec, d *model.Deployment) {
+	if o.cfg.noPrune {
+		return
+	}
+	switch spec.kind {
+	case kindUtility:
+		o.pruneRedundant(d, spec.fixed)
+		o.canonicalizeTies(d, spec.fixed)
+	case kindExpected, kindEarliness:
+		pruneBy(d, spec.fixed, o.objective(spec))
+	}
+}
+
+// pruneBy removes, in sorted order, every monitor except the fixed ones
+// whose removal keeps objective at the deployment's starting value.
+func pruneBy(d, fixed *model.Deployment, objective func(*model.Deployment) float64) {
+	before := objective(d)
+	for _, id := range d.IDs() {
+		if fixed.Contains(id) {
+			continue
+		}
+		d.Remove(id)
+		if objective(d) < before-1e-12 {
+			d.Add(id)
+		}
+	}
+}
+
+// objective returns the objective spec's ILP optimizes, evaluated exactly
+// on a deployment.
+func (o *Optimizer) objective(spec formulationSpec) func(*model.Deployment) float64 {
+	switch spec.kind {
+	case kindCost:
+		return o.Cost
+	case kindWeighted:
+		w := spec.weights
+		return func(d *model.Deployment) float64 {
+			return w.Utility*metrics.Utility(o.idx, d) + w.Richness*metrics.Richness(o.idx, d) +
+				w.Redundancy*metrics.MeanRedundancy(o.idx, d)
+		}
+	case kindExpected:
+		return func(d *model.Deployment) float64 { return metrics.ExpectedUtility(o.idx, d, spec.failProb) }
+	case kindEarliness:
+		return func(d *model.Deployment) float64 {
+			return spec.weights.Utility*metrics.Utility(o.idx, d) + spec.earliness*metrics.Earliness(o.idx, d)
+		}
+	}
+	return o.Objective
 }
 
 // canonicalizeTies rewrites the deployment into the lexicographically
@@ -683,36 +738,6 @@ func (o *Optimizer) newResult(d *model.Deployment, sol *ilp.Solution) *Result {
 		Certificate:     sol.Certificate,
 		CertificateNote: sol.CertificateNote,
 	}
-}
-
-// maxUtilityFallback builds the incumbent-less MaxUtility result from the
-// greedy cost-benefit baseline (seeded with the fixed deployment, whose cost
-// does not count against the budget, mirroring the exact formulation).
-func (o *Optimizer) maxUtilityFallback(budget float64, fixed *model.Deployment, sol *ilp.Solution) *Result {
-	d := greedyFrom(o.idx, budget, fixed)
-	res := o.newResult(d, sol)
-	res.Budget = budget
-	res.Fallback = true
-	if res.BoundKnown {
-		obj := metrics.CorroboratedUtility(o.idx, d, o.corroborationLevel())
-		res.Gap = math.Abs(res.BestBound-obj) / math.Max(1, math.Abs(obj))
-	}
-	return res
-}
-
-// minCostFallback builds the incumbent-less MinCost result from the full
-// deployment, the maximum-coverage (and most expensive) feasible choice.
-func (o *Optimizer) minCostFallback(sol *ilp.Solution) *Result {
-	d := model.NewDeployment()
-	for _, id := range o.idx.MonitorIDs() {
-		d.Add(id)
-	}
-	res := o.newResult(d, sol)
-	res.Fallback = true
-	if res.BoundKnown {
-		res.Gap = math.Abs(res.BestBound-res.Cost) / math.Max(1, math.Abs(res.Cost))
-	}
-	return res
 }
 
 func newSolveStats(sol *ilp.Solution) SolveStats {

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"runtime"
 
 	"secmon/internal/decomp"
 	"secmon/internal/ilp"
 	"secmon/internal/lp"
-	"secmon/internal/metrics"
 	"secmon/internal/model"
 )
 
@@ -36,43 +33,13 @@ func (o *Optimizer) shouldDecompose() bool {
 	return len(o.idx.MonitorIDs()) >= DecompositionThreshold
 }
 
-func (o *Optimizer) decompConfig() decomp.Config {
-	return decomp.Config{Workers: o.cfg.workers, Ctx: o.cfg.ctx, Kernel: o.cfg.kernel}
-}
-
-// maxUtilityDecomposed runs the budgeted solve through the decomposition
-// coordinator. A nil, nil return means the instance did not decompose and the
-// caller should fall through to the monolithic path.
-func (o *Optimizer) maxUtilityDecomposed(budget float64, fixed *model.Deployment) (*Result, error) {
-	dres, err := decomp.MaxUtility(o.idx, budget, fixed, o.decompConfig())
-	if errors.Is(err, decomp.ErrNotDecomposable) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: decomposed max-utility: %w", err)
-	}
-	d := model.NewDeployment()
-	for _, id := range dres.Monitors {
-		d.Add(id)
-	}
-	if !o.cfg.noPrune {
-		o.pruneRedundant(d, fixed)
-		o.canonicalizeTies(d, fixed)
-	}
-	res := o.newDecompResult(d, dres)
-	res.Budget = budget
-	res.BudgetShadowPrice = dres.ShadowPrice
-	return res, nil
-}
-
-// minCostDecomposed runs the coverage-target solve through the exact
-// component decomposition. A nil, nil return means the instance did not
-// decompose (or a segment stopped with no incumbent) and the caller should
-// fall through to the monolithic path.
-func (o *Optimizer) minCostDecomposed(targets CoverageTargets, fixed *model.Deployment) (*Result, error) {
+// requiredCounts maps every attack with a positive coverage requirement to
+// its required evidence count (see requiredEvidence), the form the MinCost
+// coordinator takes its targets in.
+func (o *Optimizer) requiredCounts(targets *CoverageTargets) (map[model.AttackID]float64, error) {
 	required := make(map[model.AttackID]float64)
 	for _, aid := range o.idx.AttackIDs() {
-		r, err := o.requiredEvidence(aid, &targets)
+		r, err := o.requiredEvidence(aid, targets)
 		if err != nil {
 			return nil, err
 		}
@@ -80,61 +47,35 @@ func (o *Optimizer) minCostDecomposed(targets CoverageTargets, fixed *model.Depl
 			required[aid] = r
 		}
 	}
-	dres, err := decomp.MinCost(o.idx, required, fixed, o.decompConfig())
-	if errors.Is(err, decomp.ErrNotDecomposable) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: decomposed min-cost: %w", err)
-	}
-	switch dres.Status {
-	case ilp.StatusOptimal, ilp.StatusFeasible:
-	case ilp.StatusInfeasible:
-		return nil, ErrInfeasible
-	default:
-		// A segment stopped with no incumbent: let the monolithic path run
-		// and apply its fallback contract.
-		return nil, nil
-	}
-	d := model.NewDeployment()
-	for _, id := range dres.Monitors {
-		d.Add(id)
-	}
-	return o.newDecompResult(d, dres), nil
+	return required, nil
 }
 
-// newDecompResult maps a decomposition outcome onto the Result contract.
-func (o *Optimizer) newDecompResult(d *model.Deployment, dres *decomp.Result) *Result {
+// decompSolution restates a decomposition outcome in the ILP solution
+// fields newResult reads.
+func (o *Optimizer) decompSolution(dres *decomp.Result) *ilp.Solution {
 	workers := o.cfg.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	stats := dres.Stats
-	return &Result{
-		Deployment:  d,
-		Monitors:    d.IDs(),
-		Utility:     metrics.Utility(o.idx, d),
-		Cost:        metrics.Cost(o.idx, d),
-		Proven:      dres.Status == ilp.StatusOptimal,
-		Status:      dres.Status.String(),
-		BestBound:   dres.BestBound,
-		BoundKnown:  dres.BoundKnown,
-		Gap:         dres.Gap,
-		Interrupted: dres.Interrupted,
-		Stats: SolveStats{
-			Nodes:                    dres.Nodes,
-			LPIterations:             dres.LPIterations,
-			Elapsed:                  dres.Elapsed,
-			Workers:                  workers,
-			Etas:                     dres.Kernel.Etas,
-			Refactorizations:         dres.Kernel.Refactorizations,
-			DevexResets:              dres.Kernel.DevexResets,
-			Updates:                  dres.Kernel.Updates,
-			BoundFlips:               dres.Kernel.BoundFlips,
-			AdaptiveRefactorizations: dres.Kernel.AdaptiveRefactorizations,
-			FactorNnz:                dres.Kernel.FactorNnz,
-			KernelFallbacks:          dres.Kernel.KernelFallbacks,
-			Decomposition:            &stats,
-		},
+	k := dres.Kernel
+	return &ilp.Solution{
+		Status:       dres.Status,
+		BestBound:    dres.BestBound,
+		BoundKnown:   dres.BoundKnown,
+		Gap:          dres.Gap,
+		Interrupted:  dres.Interrupted,
+		Nodes:        dres.Nodes,
+		LPIterations: dres.LPIterations,
+		Elapsed:      dres.Elapsed,
+		Workers:      workers,
+
+		Etas:                     k.Etas,
+		Refactorizations:         k.Refactorizations,
+		DevexResets:              k.DevexResets,
+		Updates:                  k.Updates,
+		BoundFlips:               k.BoundFlips,
+		AdaptiveRefactorizations: k.AdaptiveRefactorizations,
+		FactorNnz:                k.FactorNnz,
+		KernelFallbacks:          k.KernelFallbacks,
 	}
 }

@@ -47,113 +47,27 @@ func (o *Optimizer) MaxEarliness(budget, utilityWeight, earlinessWeight float64)
 		(utilityWeight == 0 && earlinessWeight == 0) {
 		return nil, fmt.Errorf("%w: utility %v, earliness %v", ErrBadObjectives, utilityWeight, earlinessWeight)
 	}
-	if len(o.idx.MonitorIDs()) == 0 {
-		res := o.emptyResult()
-		res.Budget = budget
-		return &EarlinessResult{Result: *res}, nil
-	}
-
-	f, err := o.buildEarlinessFormulation(budget, utilityWeight, earlinessWeight)
+	spec := formulationSpec{kind: kindEarliness, budget: budget, fixed: model.NewDeployment(),
+		weights: Objectives{Utility: utilityWeight}, earliness: earlinessWeight}
+	res, _, err := o.solve(spec, nil)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := f.prob.Solve(o.cfg.solverOptions...)
-	if err != nil {
-		return nil, fmt.Errorf("core: earliness solve: %w", err)
-	}
-	switch sol.Status {
-	case ilp.StatusOptimal, ilp.StatusFeasible:
-	default:
-		return nil, fmt.Errorf("core: earliness solve stopped with status %v and no incumbent", sol.Status)
-	}
-
-	deployment := f.decode(sol)
-	objective := func() float64 {
-		return utilityWeight*metrics.Utility(o.idx, deployment) +
-			earlinessWeight*metrics.Earliness(o.idx, deployment)
-	}
-	if !o.cfg.noPrune {
-		before := objective()
-		for _, id := range deployment.IDs() {
-			deployment.Remove(id)
-			if objective() < before-1e-12 {
-				deployment.Add(id)
-			}
-		}
-	}
-
-	res := o.newResult(deployment, sol)
-	res.Budget = budget
-	res.BudgetShadowPrice = sol.RootDual(f.budgetRow)
-	res.RelaxationUtility = sol.RootObjective
-	earliness := metrics.Earliness(o.idx, deployment)
 	return &EarlinessResult{
 		Result:         *res,
-		EarlinessValue: earliness,
-		Score:          utilityWeight*res.Utility + earlinessWeight*earliness,
+		EarlinessValue: metrics.Earliness(o.idx, res.Deployment),
+		Score:          o.objective(spec)(res.Deployment),
 	}, nil
 }
 
-// buildEarlinessFormulation constructs the weighted utility+earliness ILP.
-func (o *Optimizer) buildEarlinessFormulation(budget, utilityWeight, earlinessWeight float64) (*formulation, error) {
-	prob := ilp.NewProblem(lp.Maximize)
-	f := &formulation{
-		prob:      prob,
-		fixed:     model.NewDeployment(),
-		monitors:  o.idx.MonitorIDs(),
-		budgetRow: -1,
-	}
-	f.xVars = make([]lp.VarID, len(f.monitors))
-
-	var budgetTerms []lp.Term
-	for i, id := range f.monitors {
-		m, _ := o.idx.Monitor(id)
-		v, err := prob.AddBinaryVariable("x:"+string(id), 0)
-		if err != nil {
-			return nil, fmt.Errorf("core: add monitor variable: %w", err)
-		}
-		f.xVars[i] = v
-		prob.SetBranchPriority(v, 1)
-		budgetTerms = append(budgetTerms, lp.Term{Var: v, Coeff: m.TotalCost()})
-	}
-	row, err := prob.AddConstraint("budget", budgetTerms, lp.LE, budget)
-	if err != nil {
-		return nil, fmt.Errorf("core: budget row: %w", err)
-	}
-	f.budgetRow = row
-
-	// Shared coverage variables carry the utility objective.
-	contrib := evidenceContribution(o.idx)
-	zVars := make(map[model.DataTypeID]lp.VarID, len(contrib))
-	for _, d := range o.idx.DataTypeIDs() {
-		share, relevant := contrib[d]
-		if !relevant || len(o.idx.Producers(d)) == 0 {
-			continue
-		}
-		z, err := prob.AddVariable("z:"+string(d), 0, 1, utilityWeight*share)
-		if err != nil {
-			return nil, fmt.Errorf("core: add coverage variable: %w", err)
-		}
-		zVars[d] = z
-		terms := []lp.Term{{Var: z, Coeff: 1}}
-		for _, mid := range o.idx.Producers(d) {
-			terms = append(terms, lp.Term{Var: f.xVars[f.monitorIndex(mid)], Coeff: -1})
-		}
-		if _, err := prob.AddConstraint("link:"+string(d), terms, lp.LE, 0); err != nil {
-			return nil, fmt.Errorf("core: link row: %w", err)
-		}
-	}
-
-	if earlinessWeight == 0 {
-		return f, nil
-	}
-
-	// Earliness: per attack, per step, u_s <= sum of the step's covered
-	// evidence, and prefix OR variables v_s <= u_1 + ... + u_s with the
-	// telescoped objective coefficients.
+// addEarlinessRows adds the earliness terms of the objective: per attack
+// and step, u_s <= sum of the step's covered evidence (the shared coverage
+// variables zVars), and prefix OR variables v_s <= u_1 + ... + u_s with the
+// telescoped objective coefficients.
+func (o *Optimizer) addEarlinessRows(prob *ilp.Problem, spec formulationSpec, zVars map[model.DataTypeID]lp.VarID) error {
 	totalWeight := o.idx.System().TotalAttackWeight()
-	if totalWeight == 0 {
-		return f, nil
+	if spec.earliness == 0 || totalWeight == 0 {
+		return nil
 	}
 	for _, aid := range o.idx.AttackIDs() {
 		attack, _ := o.idx.Attack(aid)
@@ -173,11 +87,11 @@ func (o *Optimizer) buildEarlinessFormulation(budget, utilityWeight, earlinessWe
 			}
 			u, err := prob.AddVariable(fmt.Sprintf("u:%s:%d", aid, si), 0, 1, 0)
 			if err != nil {
-				return nil, fmt.Errorf("core: add step variable: %w", err)
+				return fmt.Errorf("core: add step variable: %w", err)
 			}
 			terms := append([]lp.Term{{Var: u, Coeff: 1}}, evTerms...)
 			if _, err := prob.AddConstraint(fmt.Sprintf("step:%s:%d", aid, si), terms, lp.LE, 0); err != nil {
-				return nil, fmt.Errorf("core: step row: %w", err)
+				return fmt.Errorf("core: step row: %w", err)
 			}
 			uVars = append(uVars, lp.Term{Var: u, Coeff: -1})
 
@@ -188,16 +102,16 @@ func (o *Optimizer) buildEarlinessFormulation(budget, utilityWeight, earlinessWe
 			if si+1 < nSteps {
 				eNext = 1 - float64(si+1)/float64(nSteps)
 			}
-			coeff := weight * earlinessWeight * (eHere - eNext)
+			coeff := weight * spec.earliness * (eHere - eNext)
 			v, err := prob.AddVariable(fmt.Sprintf("v:%s:%d", aid, si), 0, 1, coeff)
 			if err != nil {
-				return nil, fmt.Errorf("core: add prefix variable: %w", err)
+				return fmt.Errorf("core: add prefix variable: %w", err)
 			}
 			prefix := append([]lp.Term{{Var: v, Coeff: 1}}, uVars...)
 			if _, err := prob.AddConstraint(fmt.Sprintf("prefix:%s:%d", aid, si), prefix, lp.LE, 0); err != nil {
-				return nil, fmt.Errorf("core: prefix row: %w", err)
+				return fmt.Errorf("core: prefix row: %w", err)
 			}
 		}
 	}
-	return f, nil
+	return nil
 }

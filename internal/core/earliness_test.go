@@ -79,7 +79,8 @@ func TestMaxEarlinessValidation(t *testing.T) {
 
 // TestQuickEarlinessOptimumMatchesExhaustive cross-checks the telescoped
 // encoding against enumeration of the weighted utility+earliness score on
-// staged kill-chain systems (which have genuinely multi-step attacks).
+// staged kill-chain systems (which have genuinely multi-step attacks), and
+// the minimality post-pass against the unpruned solve.
 func TestQuickEarlinessOptimumMatchesExhaustive(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	property := func(seed int64) bool {
@@ -128,6 +129,15 @@ func TestQuickEarlinessOptimumMatchesExhaustive(t *testing.T) {
 		}
 		if math.Abs(res.Score-best) > 1e-6 {
 			t.Logf("seed %d: earliness ILP score %v != exhaustive %v", seed, res.Score, best)
+			return false
+		}
+		raw, err := NewOptimizer(idx, WithoutPruning()).MaxEarliness(budget, wu, we)
+		if err != nil {
+			t.Logf("unpruned MaxEarliness: %v", err)
+			return false
+		}
+		if !prunedMinimal(t, res.Deployment, raw.Score, score) {
+			t.Logf("seed %d: earliness pruning", seed)
 			return false
 		}
 		return true

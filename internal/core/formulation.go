@@ -11,16 +11,45 @@ import (
 	"secmon/internal/model"
 )
 
+// objectiveKind names the objective an exact solve optimizes. Every kind
+// shares the monitor variables and the budget row (all but MinCost); they
+// differ in the coverage variables and objective coefficients.
+type objectiveKind uint8
+
+const (
+	kindUtility   objectiveKind = iota // MaxUtility: corroborated detection utility
+	kindCost                           // MinCost: cost of meeting coverage targets
+	kindWeighted                       // MaxWeighted: utility, richness and redundancy
+	kindExpected                       // MaxExpectedUtility: utility under monitor failures
+	kindEarliness                      // MaxEarliness: utility and earliness
+)
+
 // formulationSpec selects which ILP to build.
 type formulationSpec struct {
-	// budget is the new-spend budget (MaxUtility flavors).
+	kind objectiveKind
+	// budget is the new-spend budget (every kind but kindCost).
 	budget float64
-	// minCost selects the MinCost formulation with the given targets.
-	minCost bool
+	// targets are the MinCost coverage targets.
 	targets *CoverageTargets
 	// fixed monitors are forced into the deployment; their cost is excluded
 	// from the budget row and the MinCost objective.
 	fixed *model.Deployment
+	// weights weight a kindWeighted objective. A kindEarliness objective
+	// reads weights.Utility and its earliness weight.
+	weights   Objectives
+	earliness float64
+	// failProb is the kindExpected per-monitor failure probability.
+	failProb float64
+}
+
+// paperObjective reports whether the spec is one of the paper's two
+// formulations, the only ones the expanded encoding and the decomposition
+// coordinator support.
+func (s formulationSpec) paperObjective() bool { return s.kind == kindUtility || s.kind == kindCost }
+
+// name labels the spec's solve in errors.
+func (s formulationSpec) name() string {
+	return [...]string{"max-utility", "min-cost", "weighted", "robust", "earliness"}[s.kind]
 }
 
 // formulation is a built ILP together with the variable mapping needed to
@@ -29,9 +58,8 @@ type formulation struct {
 	prob     *ilp.Problem
 	monitors []model.MonitorID
 	xVars    []lp.VarID
-	fixed    *model.Deployment
-	// budgetRow is the ConID of the budget constraint (MaxUtility flavors
-	// only); -1 when absent.
+	// budgetRow is the ConID of the budget constraint (every kind but
+	// kindCost); -1 when absent.
 	budgetRow lp.ConID
 }
 
@@ -58,28 +86,26 @@ func evidenceContribution(idx *model.Index) map[model.DataTypeID]float64 {
 	return contrib
 }
 
-// buildFormulation constructs the exact ILP for the spec, using the compact
-// shared-coverage encoding unless the expanded ablation encoding was
-// selected.
+// buildFormulation constructs the exact ILP for the spec: the monitor
+// variables and the budget row, then the kind's coverage variables. Utility
+// and cost use the compact shared-coverage encoding unless the expanded
+// ablation encoding was selected.
 func (o *Optimizer) buildFormulation(spec formulationSpec) (*formulation, error) {
 	sense := lp.Maximize
-	if spec.minCost {
+	if spec.kind == kindCost {
 		sense = lp.Minimize
 	}
 	prob := ilp.NewProblem(sense)
 
-	f := &formulation{prob: prob, fixed: spec.fixed, monitors: o.idx.MonitorIDs(), budgetRow: -1}
+	f := &formulation{prob: prob, monitors: o.idx.MonitorIDs(), budgetRow: -1}
 	f.xVars = make([]lp.VarID, len(f.monitors))
+	contrib := evidenceContribution(o.idx)
 
 	// Monitor selection variables.
 	var budgetTerms []lp.Term
 	for i, id := range f.monitors {
 		m, _ := o.idx.Monitor(id)
-		objCost := 0.0
-		if spec.minCost && !spec.fixed.Contains(id) {
-			objCost = m.TotalCost()
-		}
-		v, err := prob.AddBinaryVariable("x:"+string(id), objCost)
+		v, err := prob.AddBinaryVariable("x:"+string(id), spec.monitorObjective(m, contrib))
 		if err != nil {
 			return nil, fmt.Errorf("core: add monitor variable: %w", err)
 		}
@@ -91,11 +117,11 @@ func (o *Optimizer) buildFormulation(spec formulationSpec) (*formulation, error)
 			}
 			continue
 		}
-		if !spec.minCost {
+		if spec.kind != kindCost {
 			budgetTerms = append(budgetTerms, lp.Term{Var: v, Coeff: m.TotalCost()})
 		}
 	}
-	if !spec.minCost {
+	if spec.kind != kindCost {
 		row, err := prob.AddConstraint("budget", budgetTerms, lp.LE, spec.budget)
 		if err != nil {
 			return nil, fmt.Errorf("core: budget row: %w", err)
@@ -103,52 +129,65 @@ func (o *Optimizer) buildFormulation(spec formulationSpec) (*formulation, error)
 		f.budgetRow = row
 	}
 
-	if o.cfg.expanded {
-		if err := o.addExpandedCoverage(prob, f, spec); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := o.addCompactCoverage(prob, f, spec); err != nil {
-			return nil, err
-		}
+	var err error
+	switch {
+	case spec.kind == kindExpected:
+		err = o.addLevelCoverage(prob, f, spec, contrib)
+	case o.cfg.expanded && spec.paperObjective():
+		err = o.addExpandedCoverage(prob, f, spec)
+	default:
+		err = o.addCompactCoverage(prob, f, spec, contrib)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
+// monitorObjective is the objective coefficient of monitor m's selection
+// variable: its cost under MinCost (zero when fixed), its redundancy share
+// under a weighted objective, and zero otherwise, where the coverage
+// variables carry the objective. The redundancy share is the number of
+// relevant evidence data types m produces, normalized the same way as
+// metrics.MeanRedundancy.
+func (s formulationSpec) monitorObjective(m *model.Monitor, contrib map[model.DataTypeID]float64) float64 {
+	switch {
+	case s.kind == kindCost && !s.fixed.Contains(m.ID):
+		return m.TotalCost()
+	case s.kind == kindWeighted && s.weights.Redundancy > 0 && len(contrib) > 0:
+		produced := 0
+		for _, d := range m.Produces {
+			if _, ok := contrib[d]; ok {
+				produced++
+			}
+		}
+		return s.weights.Redundancy * float64(produced) / float64(len(contrib))
+	}
+	return 0
+}
+
 // addLinkRows ties a coverage variable to the monitors producing its data
-// type. Without corroboration a single aggregated row z <= sum(x) suffices
-// and z stays implied-integral. With corroboration level k >= 2 the variable
-// becomes integer and, in addition to the aggregated row k*z <= sum(x), one
+// type. At corroboration level k = 1 a single aggregated row z <= sum(x)
+// suffices and z stays implied-integral. At k >= 2 the variable becomes
+// integer and, in addition to the aggregated row k*z <= sum(x), one
 // disaggregated row (k-1)*z <= sum(x) - x_m per producer m tightens the LP
 // relaxation (z = 1 then provably needs k distinct producers even
 // fractionally).
-func (o *Optimizer) addLinkRows(prob *ilp.Problem, f *formulation, d model.DataTypeID, z lp.VarID) error {
+func (o *Optimizer) addLinkRows(prob *ilp.Problem, f *formulation, d model.DataTypeID, z lp.VarID, k int) error {
 	producers := o.idx.Producers(d)
-	producerTerms := func(skip model.MonitorID) []lp.Term {
-		terms := make([]lp.Term, 0, len(producers))
-		for _, mid := range producers {
-			if mid == skip {
-				continue
-			}
-			terms = append(terms, lp.Term{Var: f.xVars[f.monitorIndex(mid)], Coeff: -1})
-		}
-		return terms
-	}
-
-	k := o.corroborationLevel()
 	if k > 1 {
 		// Corroboration makes z no longer implied integral by the monitor
 		// variables (z <= sum(x)/k can be fractional), so z must be branched
 		// on too; monitor variables keep priority.
 		prob.SetInteger(z)
 	}
-	terms := append([]lp.Term{{Var: z, Coeff: float64(k)}}, producerTerms("")...)
+	terms := f.appendProducers([]lp.Term{{Var: z, Coeff: float64(k)}}, producers, "")
 	if _, err := prob.AddConstraint("link:"+string(d), terms, lp.LE, 0); err != nil {
 		return fmt.Errorf("core: link row: %w", err)
 	}
 	if k > 1 {
 		for _, mid := range producers {
-			terms := append([]lp.Term{{Var: z, Coeff: float64(k - 1)}}, producerTerms(mid)...)
+			terms := f.appendProducers([]lp.Term{{Var: z, Coeff: float64(k - 1)}}, producers, mid)
 			rowName := fmt.Sprintf("link:%s-minus-%s", d, mid)
 			if _, err := prob.AddConstraint(rowName, terms, lp.LE, 0); err != nil {
 				return fmt.Errorf("core: disaggregated link row: %w", err)
@@ -158,35 +197,65 @@ func (o *Optimizer) addLinkRows(prob *ilp.Problem, f *formulation, d model.DataT
 	return nil
 }
 
+// appendProducers appends a -1 term for every producer's selection
+// variable except skip's.
+func (f *formulation) appendProducers(terms []lp.Term, producers []model.MonitorID, skip model.MonitorID) []lp.Term {
+	for _, mid := range producers {
+		if mid != skip {
+			terms = append(terms, lp.Term{Var: f.xVars[f.monitorIndex(mid)], Coeff: -1})
+		}
+	}
+	return terms
+}
+
 // addCompactCoverage adds one shared coverage variable z_d per producible
-// evidence data type with z_d <= sum of producing monitors, plus either the
-// utility objective (MaxUtility) or per-attack coverage rows (MinCost).
-func (o *Optimizer) addCompactCoverage(prob *ilp.Problem, f *formulation, spec formulationSpec) error {
-	contrib := evidenceContribution(o.idx)
+// evidence data type, linked to the monitors producing it, then the kind's
+// remaining rows: per-attack coverage rows (MinCost) or earliness rows. The
+// z variables carry the utility share (and, for a weighted objective, the
+// richness share) of the objective.
+func (o *Optimizer) addCompactCoverage(prob *ilp.Problem, f *formulation, spec formulationSpec, contrib map[model.DataTypeID]float64) error {
+	var fieldShare map[model.DataTypeID]float64
+	totalFields := 0
+	if spec.kind == kindWeighted {
+		fieldShare, totalFields = richnessShares(o.idx, contrib)
+	}
+	k := o.corroborationLevel()
+	if spec.kind == kindEarliness {
+		k = 1 // earliness scores plain, single-producer utility
+	}
 
 	zVars := make(map[model.DataTypeID]lp.VarID, len(contrib))
 	for _, d := range o.idx.DataTypeIDs() {
-		if _, relevant := contrib[d]; !relevant {
-			continue
-		}
-		if len(o.idx.Producers(d)) == 0 {
-			continue // nobody can cover it; identically zero
+		share, relevant := contrib[d]
+		if !relevant || len(o.idx.Producers(d)) == 0 {
+			continue // irrelevant, or nobody can cover it: identically zero
 		}
 		obj := 0.0
-		if !spec.minCost {
-			obj = contrib[d]
+		switch spec.kind {
+		case kindUtility:
+			obj = share
+		case kindWeighted:
+			obj = spec.weights.Utility * share
+			if totalFields > 0 {
+				obj += spec.weights.Richness * fieldShare[d]
+			}
+		case kindEarliness:
+			obj = spec.weights.Utility * share
 		}
 		z, err := prob.AddVariable("z:"+string(d), 0, 1, obj)
 		if err != nil {
 			return fmt.Errorf("core: add coverage variable: %w", err)
 		}
 		zVars[d] = z
-		if err := o.addLinkRows(prob, f, d, z); err != nil {
+		if err := o.addLinkRows(prob, f, d, z, k); err != nil {
 			return err
 		}
 	}
 
-	if !spec.minCost {
+	if spec.kind == kindEarliness {
+		return o.addEarlinessRows(prob, spec, zVars)
+	}
+	if spec.kind != kindCost {
 		return nil
 	}
 	for _, aid := range o.idx.AttackIDs() {
@@ -228,20 +297,20 @@ func (o *Optimizer) addExpandedCoverage(prob *ilp.Problem, f *formulation, spec 
 				continue
 			}
 			obj := 0.0
-			if !spec.minCost {
+			if spec.kind == kindUtility {
 				obj = share
 			}
 			y, err := prob.AddVariable(fmt.Sprintf("y:%s:%s", aid, e), 0, 1, obj)
 			if err != nil {
 				return fmt.Errorf("core: add pair variable: %w", err)
 			}
-			if err := o.addLinkRows(prob, f, e, y); err != nil {
+			if err := o.addLinkRows(prob, f, e, y, o.corroborationLevel()); err != nil {
 				return err
 			}
 			attackTerms = append(attackTerms, lp.Term{Var: y, Coeff: 1})
 		}
 
-		if spec.minCost {
+		if spec.kind == kindCost {
 			required, err := o.requiredEvidence(aid, spec.targets)
 			if err != nil {
 				return err

@@ -85,74 +85,7 @@ func (o *Optimizer) MaxUtilityWarm(budget float64, prior *Prior) (*Result, *Prio
 	if budget < 0 || math.IsNaN(budget) || math.IsInf(budget, 0) {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadBudget, budget)
 	}
-	if len(o.idx.MonitorIDs()) == 0 {
-		res := o.emptyResult()
-		res.Budget = budget
-		return res, &Prior{Result: res}, nil
-	}
-	if o.cfg.certify || o.shouldDecompose() {
-		// No reuse: certified searches must discover their own incumbent,
-		// and the decomposition coordinator has no single root basis.
-		res, err := o.MaxUtility(budget)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, &Prior{Result: res}, nil
-	}
-
-	f, err := o.buildFormulation(formulationSpec{budget: budget, fixed: model.NewDeployment()})
-	if err != nil {
-		return nil, nil, err
-	}
-	next := &Prior{ws: prior.Workspace()}
-	if prior == nil {
-		next.ws = lp.NewWorkspace()
-	}
-
-	var rootBasis *lp.Basis
-	if prior.usable(false) {
-		if prior.basis != nil && prior.prob != nil {
-			rootBasis = ilp.RemapRootBasis(prior.basis, prior.prob, f.prob)
-		}
-		candidate := o.repairSet(prior.Result.Deployment)
-		pristine := candidate.Len() == prior.Result.Deployment.Len()
-		if metrics.Cost(o.idx, candidate) <= budget {
-			if res := o.tryBoundSkip(f, budget, candidate, rootBasis, next, pristine); res != nil {
-				next.Result, next.prob = res, f.prob
-				if next.basis == nil {
-					next.basis = rootBasis
-				}
-				return res, next, nil
-			}
-		}
-	}
-
-	extras := []ilp.Option{ilp.WithWorkspace(next.ws)}
-	warm := false
-	if prior.usable(false) {
-		if seed := o.seedVector(f, o.repairToBudget(prior.Result.Deployment, budget)); seed != nil {
-			extras = append(extras, ilp.WithIncumbent(seed))
-			warm = true
-		}
-	}
-	if rootBasis != nil {
-		extras = append(extras, ilp.WithRootBasis(rootBasis))
-		warm = true
-	}
-
-	res, sol, err := o.solveMaxUtilityFormulation(f, budget, model.NewDeployment(), extras...)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Stats.WarmStarted = warm
-	next.prob = f.prob
-	if sol != nil && sol.RootBasis != nil {
-		next.basis = sol.RootBasis
-	}
-	if res.Proven && !res.Fallback {
-		next.Result = res
-	}
-	return res, next, nil
+	return o.solveWarm(formulationSpec{kind: kindUtility, budget: budget, fixed: model.NewDeployment()}, prior)
 }
 
 // MinCostWarm computes the same proven result as MinCost(targets) while
@@ -162,54 +95,68 @@ func (o *Optimizer) MinCostWarm(targets CoverageTargets, prior *Prior) (*Result,
 	if err := o.validateTargets(targets); err != nil {
 		return nil, nil, err
 	}
+	return o.solveWarm(formulationSpec{kind: kindCost, targets: &targets, fixed: model.NewDeployment()}, prior)
+}
+
+// solveWarm runs the warm entry points: the bound shortcut on the repaired
+// prior deployment, else the exact solve seeded with it and warm-started
+// from the remapped prior basis.
+func (o *Optimizer) solveWarm(spec formulationSpec, prior *Prior) (*Result, *Prior, error) {
+	minCost := spec.kind == kindCost
 	if len(o.idx.MonitorIDs()) == 0 || o.cfg.certify || o.shouldDecompose() {
-		res, err := o.MinCost(targets)
+		// No reuse: certified searches must discover their own incumbent,
+		// and the decomposition coordinator has no single root basis.
+		res, _, err := o.solve(spec, nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		return res, &Prior{Result: res, minCost: true}, nil
+		return res, &Prior{Result: res, minCost: minCost}, nil
 	}
 
-	f, err := o.buildFormulation(formulationSpec{minCost: true, targets: &targets, fixed: model.NewDeployment()})
+	f, err := o.buildFormulation(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	next := &Prior{minCost: true, ws: prior.Workspace()}
-	if prior == nil {
-		next.ws = lp.NewWorkspace()
-	}
-
-	var rootBasis *lp.Basis
-	if prior.usable(true) {
+	next := &Prior{minCost: minCost, ws: prior.Workspace()}
+	extras := []ilp.Option{ilp.WithWorkspace(next.ws)}
+	warm := false
+	if prior.usable(minCost) {
+		var rootBasis *lp.Basis
 		if prior.basis != nil && prior.prob != nil {
 			rootBasis = ilp.RemapRootBasis(prior.basis, prior.prob, f.prob)
 		}
 		candidate := o.repairSet(prior.Result.Deployment)
-		if ok, err := o.MeetsTargets(targets, candidate); err == nil && ok {
-			if res := o.tryCostBoundSkip(f, candidate, rootBasis, next); res != nil {
+		var feasible bool
+		if minCost {
+			ok, err := o.MeetsTargets(*spec.targets, candidate)
+			feasible = err == nil && ok
+		} else {
+			feasible = metrics.Cost(o.idx, candidate) <= spec.budget
+		}
+		seed := candidate
+		if feasible {
+			pristine := candidate.Len() == prior.Result.Deployment.Len()
+			if res := o.tryBoundSkip(f, spec, candidate, rootBasis, next, pristine); res != nil {
 				next.Result, next.prob = res, f.prob
 				if next.basis == nil {
 					next.basis = rootBasis
 				}
 				return res, next, nil
 			}
+		} else if !minCost {
+			seed = o.repairToBudget(candidate, spec.budget)
 		}
-	}
-
-	extras := []ilp.Option{ilp.WithWorkspace(next.ws)}
-	warm := false
-	if prior.usable(true) {
-		if seed := o.seedVector(f, o.repairSet(prior.Result.Deployment)); seed != nil {
-			extras = append(extras, ilp.WithIncumbent(seed))
+		if x := o.seedVector(f, seed); x != nil {
+			extras = append(extras, ilp.WithIncumbent(x))
+			warm = true
+		}
+		if rootBasis != nil {
+			extras = append(extras, ilp.WithRootBasis(rootBasis))
 			warm = true
 		}
 	}
-	if rootBasis != nil {
-		extras = append(extras, ilp.WithRootBasis(rootBasis))
-		warm = true
-	}
 
-	res, sol, err := o.solveMinCostFormulation(f, extras...)
+	res, sol, err := o.solve(spec, f, extras...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -224,84 +171,55 @@ func (o *Optimizer) MinCostWarm(targets CoverageTargets, prior *Prior) (*Result,
 	return res, next, nil
 }
 
-// tryBoundSkip prices the MaxUtility formulation's LP relaxation
-// (warm-started from the remapped prior basis) and, when the bound collapses
-// onto the repaired previous deployment's exact objective, returns that
-// deployment — canonicalized the same way the full solve's post-passes would
-// — as the proven optimum. nil means the bound could not close and the full
-// solve must run. The relaxation objective is a valid upper bound whatever
-// vertex the warm start lands on, so the skip is exact (see trySweepSkip).
+// tryBoundSkip prices the formulation's LP relaxation (warm-started from the
+// remapped prior basis) and, when the bound collapses onto the repaired
+// previous deployment's exact objective, returns that deployment —
+// canonicalized the same way the full solve's post-passes would — as the
+// proven optimum. The candidate must already fit the budget or meet the
+// targets. nil means the bound could not close and the full solve must
+// run. The relaxation objective is a valid bound whatever vertex the warm
+// start lands on, so the skip is exact (see trySweepSkip).
 //
 // pristine marks a candidate that IS the previous optimum, untouched by
-// repair. That set already went through pruneRedundant and canonicalizeTies
-// when it was produced, so the passes — which dominate the skip's cost on
-// large instances, each being a full objective sweep per member — are
-// elided. Re-running them under mutated costs could at most exchange one
-// member of the proven exact tie for another.
-func (o *Optimizer) tryBoundSkip(f *formulation, budget float64, candidate *model.Deployment, basis *lp.Basis, next *Prior, pristine bool) *Result {
-	rsol := o.priceRelaxation(f, basis, next)
+// repair. That set already went through the post-passes when it was
+// produced, so they — which dominate the skip's cost on large instances,
+// each being a full objective sweep per member — are elided. Re-running
+// them under mutated costs could at most exchange one member of the proven
+// exact tie for another.
+func (o *Optimizer) tryBoundSkip(f *formulation, spec formulationSpec, candidate *model.Deployment, basis *lp.Basis, next *Prior, pristine bool) *Result {
+	// WithWarmStart(nil) still enables basis capture, so a chain that lost
+	// its snapshot (first solve, failed remap) regains one here.
+	rsol := o.priceRelaxation(f, lp.WithWorkspace(next.ws), lp.WithWarmStart(basis))
 	if rsol == nil {
 		return nil
+	}
+	if rsol.Basis != nil {
+		next.basis = rsol.Basis
 	}
 	// Same proof standard as the branch-and-bound's own pruning rule:
 	// a node whose bound is within gapTolerance*max(1,|incumbent|) of the
 	// incumbent is fathomed, so a root bound that close proves optimality.
-	prevObj := metrics.CorroboratedUtility(o.idx, candidate, o.corroborationLevel())
-	if rsol.Objective > prevObj+sweepBoundTol*math.Max(1, math.Abs(prevObj)) {
+	prevObj := o.objective(spec)(candidate)
+	slack := sweepBoundTol * math.Max(1, math.Abs(prevObj))
+	closed := rsol.Objective <= prevObj+slack
+	if spec.kind == kindCost {
+		closed = rsol.Objective >= prevObj-slack
+	}
+	if !closed {
 		return nil
 	}
 	d := candidate.Clone()
-	if !o.cfg.noPrune && !pristine {
-		empty := model.NewDeployment()
-		o.pruneRedundant(d, empty)
-		o.canonicalizeTies(d, empty)
+	if !pristine {
+		o.postPass(spec, d)
 	}
-	res := &Result{
-		Deployment:        d,
-		Monitors:          d.IDs(),
-		Utility:           metrics.Utility(o.idx, d),
-		Cost:              metrics.Cost(o.idx, d),
-		Budget:            budget,
-		Proven:            true,
-		Status:            ilp.StatusOptimal.String(),
-		BestBound:         prevObj,
-		BoundKnown:        true,
-		RelaxationUtility: rsol.Objective,
-		Restated:          true,
-		Stats: SolveStats{
-			LPIterations: rsol.Iterations,
-			WarmStarted:  true,
-			Shortcut:     "lp-bound",
-		},
-	}
-	if f.budgetRow >= 0 {
-		res.BudgetShadowPrice = rsol.Dual(f.budgetRow)
-	}
-	return res
-}
-
-// tryCostBoundSkip is the MinCost counterpart of tryBoundSkip: when the LP
-// relaxation's cost lower bound reaches the repaired previous deployment's
-// exact cost, that deployment is proven optimal without branch-and-bound.
-// The candidate must already be verified feasible against the targets.
-func (o *Optimizer) tryCostBoundSkip(f *formulation, candidate *model.Deployment, basis *lp.Basis, next *Prior) *Result {
-	rsol := o.priceRelaxation(f, basis, next)
-	if rsol == nil {
-		return nil
-	}
-	cost := metrics.Cost(o.idx, candidate)
-	if rsol.Objective < cost-sweepBoundTol*math.Max(1, math.Abs(cost)) {
-		return nil
-	}
-	d := candidate.Clone()
 	res := &Result{
 		Deployment: d,
 		Monitors:   d.IDs(),
 		Utility:    metrics.Utility(o.idx, d),
-		Cost:       cost,
+		Cost:       metrics.Cost(o.idx, d),
 		Proven:     true,
 		Status:     ilp.StatusOptimal.String(),
-		BestBound:  cost,
+		BestBound:  prevObj,
 		BoundKnown: true,
 		Restated:   true,
 		Stats: SolveStats{
@@ -310,29 +228,24 @@ func (o *Optimizer) tryCostBoundSkip(f *formulation, candidate *model.Deployment
 			Shortcut:     "lp-bound",
 		},
 	}
+	if spec.kind != kindCost {
+		res.Budget = spec.budget
+		res.RelaxationUtility = rsol.Objective
+		res.BudgetShadowPrice = rsol.Dual(f.budgetRow)
+	}
 	return res
 }
 
-// priceRelaxation solves the formulation's LP relaxation warm-started from
-// basis inside the prior's workspace, capturing the resulting basis into
-// next. nil means the relaxation did not come back optimal (numerical
-// trouble, interruption) and the caller should run the full solve.
-func (o *Optimizer) priceRelaxation(f *formulation, basis *lp.Basis, next *Prior) *lp.Solution {
-	// WithWarmStart(nil) still enables basis capture, so a chain that lost
-	// its snapshot (first solve, failed remap) regains one here.
-	lpOpts := []lp.Option{lp.WithWorkspace(next.ws), lp.WithWarmStart(basis)}
-	if o.cfg.kernel != lp.KernelAuto {
-		lpOpts = append(lpOpts, lp.WithKernel(o.cfg.kernel))
-	}
-	if o.cfg.ctx != nil {
-		lpOpts = append(lpOpts, lp.WithContext(o.cfg.ctx))
-	}
-	rsol, err := f.prob.SolveRelaxation(lpOpts...)
+// priceRelaxation solves the formulation's LP relaxation under the
+// recorded kernel and context plus opts (workspace, warm start): the bound
+// test of the sweep and incremental shortcuts. nil means the relaxation did
+// not come back optimal (numerical trouble, interruption) and the caller
+// should run the full solve.
+func (o *Optimizer) priceRelaxation(f *formulation, opts ...lp.Option) *lp.Solution {
+	opts = append(opts, lp.WithKernel(o.cfg.kernel), lp.WithContext(o.cfg.ctx))
+	rsol, err := f.prob.SolveRelaxation(opts...)
 	if err != nil || rsol.Status != lp.StatusOptimal {
 		return nil
-	}
-	if rsol.Basis != nil {
-		next.basis = rsol.Basis
 	}
 	return rsol
 }

@@ -43,87 +43,24 @@ func (o *Optimizer) MaxExpectedUtility(budget, failProb float64) (*RobustResult,
 	if failProb < 0 || failProb >= 1 || math.IsNaN(failProb) {
 		return nil, fmt.Errorf("%w: %v", ErrBadFailureProb, failProb)
 	}
+	spec := formulationSpec{kind: kindExpected, budget: budget, fixed: model.NewDeployment(), failProb: failProb}
 	if failProb == 0 {
-		res, err := o.MaxUtility(budget)
-		if err != nil {
-			return nil, err
-		}
-		return &RobustResult{Result: *res, ExpectedUtility: res.Utility}, nil
+		spec.kind = kindUtility // no failures: plain MaxUtility
 	}
-	if len(o.idx.MonitorIDs()) == 0 {
-		res := o.emptyResult()
-		res.Budget = budget
-		return &RobustResult{Result: *res, FailureProb: failProb}, nil
-	}
-
-	f, err := o.buildRobustFormulation(budget, failProb)
+	res, _, err := o.solve(spec, nil)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := f.prob.Solve(o.cfg.solverOptions...)
-	if err != nil {
-		return nil, fmt.Errorf("core: robust solve: %w", err)
-	}
-	switch sol.Status {
-	case ilp.StatusOptimal, ilp.StatusFeasible:
-	default:
-		return nil, fmt.Errorf("core: robust solve stopped with status %v and no incumbent", sol.Status)
-	}
-
-	deployment := f.decode(sol)
-	// Prune monitors that contribute nothing to the *expected* utility.
-	objective := func() float64 { return metrics.ExpectedUtility(o.idx, deployment, failProb) }
-	if !o.cfg.noPrune {
-		before := objective()
-		for _, id := range deployment.IDs() {
-			deployment.Remove(id)
-			if objective() < before-1e-12 {
-				deployment.Add(id)
-			}
-		}
-	}
-
-	res := o.newResult(deployment, sol)
-	res.Budget = budget
-	res.BudgetShadowPrice = sol.RootDual(f.budgetRow)
-	res.RelaxationUtility = sol.RootObjective
 	return &RobustResult{
 		Result:          *res,
 		FailureProb:     failProb,
-		ExpectedUtility: objective(),
+		ExpectedUtility: metrics.ExpectedUtility(o.idx, res.Deployment, failProb),
 	}, nil
 }
 
-// buildRobustFormulation encodes the concave expected-coverage objective
-// with per-rank coverage level variables.
-func (o *Optimizer) buildRobustFormulation(budget, failProb float64) (*formulation, error) {
-	prob := ilp.NewProblem(lp.Maximize)
-	f := &formulation{
-		prob:      prob,
-		fixed:     model.NewDeployment(),
-		monitors:  o.idx.MonitorIDs(),
-		budgetRow: -1,
-	}
-	f.xVars = make([]lp.VarID, len(f.monitors))
-
-	var budgetTerms []lp.Term
-	for i, id := range f.monitors {
-		m, _ := o.idx.Monitor(id)
-		v, err := prob.AddBinaryVariable("x:"+string(id), 0)
-		if err != nil {
-			return nil, fmt.Errorf("core: add monitor variable: %w", err)
-		}
-		f.xVars[i] = v
-		prob.SetBranchPriority(v, 1)
-		budgetTerms = append(budgetTerms, lp.Term{Var: v, Coeff: m.TotalCost()})
-	}
-	row, err := prob.AddConstraint("budget", budgetTerms, lp.LE, budget)
-	if err != nil {
-		return nil, fmt.Errorf("core: budget row: %w", err)
-	}
-	f.budgetRow = row
-
-	contrib := evidenceContribution(o.idx)
+// addLevelCoverage encodes the concave expected-coverage objective with
+// per-rank coverage level variables.
+func (o *Optimizer) addLevelCoverage(prob *ilp.Problem, f *formulation, spec formulationSpec, contrib map[model.DataTypeID]float64) error {
 	for _, d := range o.idx.DataTypeIDs() {
 		share, relevant := contrib[d]
 		if !relevant {
@@ -135,25 +72,21 @@ func (o *Optimizer) buildRobustFormulation(budget, failProb float64) (*formulati
 		}
 		// Level variables: z_j = 1 when at least j producers are deployed;
 		// the marginal value of the j-th producer is share * q^(j-1)*(1-q).
-		levelTerms := make([]lp.Term, 0, len(producers)+1)
-		marginal := share * (1 - failProb)
+		terms := make([]lp.Term, 0, 2*len(producers))
+		marginal := share * (1 - spec.failProb)
 		for j := 1; j <= len(producers); j++ {
 			z, err := prob.AddVariable(fmt.Sprintf("z:%s:%d", d, j), 0, 1, marginal)
 			if err != nil {
-				return nil, fmt.Errorf("core: add level variable: %w", err)
+				return fmt.Errorf("core: add level variable: %w", err)
 			}
-			levelTerms = append(levelTerms, lp.Term{Var: z, Coeff: 1})
-			marginal *= failProb
+			terms = append(terms, lp.Term{Var: z, Coeff: 1})
+			marginal *= spec.failProb
 		}
 		// sum_j z_j <= sum of deployed producers.
-		terms := make([]lp.Term, 0, 2*len(producers))
-		terms = append(terms, levelTerms...)
-		for _, mid := range producers {
-			terms = append(terms, lp.Term{Var: f.xVars[f.monitorIndex(mid)], Coeff: -1})
-		}
+		terms = f.appendProducers(terms, producers, "")
 		if _, err := prob.AddConstraint("levels:"+string(d), terms, lp.LE, 0); err != nil {
-			return nil, fmt.Errorf("core: level row: %w", err)
+			return fmt.Errorf("core: level row: %w", err)
 		}
 	}
-	return f, nil
+	return nil
 }

@@ -98,8 +98,30 @@ func bruteForceExpected(t *testing.T, idx *model.Index, budget, failProb float64
 	return best
 }
 
+// prunedMinimal reports whether a pruned deployment d keeps the objective
+// the unpruned solve reached and whether removing any one of its monitors
+// lowers it.
+func prunedMinimal(t *testing.T, d *model.Deployment, unpruned float64, objective func(*model.Deployment) float64) bool {
+	t.Helper()
+	got := objective(d)
+	if math.Abs(got-unpruned) > 1e-8 {
+		t.Logf("pruned objective %v != unpruned %v", got, unpruned)
+		return false
+	}
+	for _, id := range d.IDs() {
+		without := d.Clone()
+		without.Remove(id)
+		if objective(without) >= got-1e-12 {
+			t.Logf("monitor %s leaves %v without lowering the objective %v", id, d.IDs(), got)
+			return false
+		}
+	}
+	return true
+}
+
 // TestQuickRobustOptimumMatchesExhaustive cross-checks the level encoding
-// against enumeration of the expected utility on random systems.
+// against enumeration of the expected utility on random systems, and the
+// minimality post-pass against the unpruned solve.
 func TestQuickRobustOptimumMatchesExhaustive(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	property := func(seed int64) bool {
@@ -115,6 +137,26 @@ func TestQuickRobustOptimumMatchesExhaustive(t *testing.T) {
 		want := bruteForceExpected(t, idx, budget, q)
 		if math.Abs(res.ExpectedUtility-want) > 1e-6 {
 			t.Logf("seed %d q %v: robust ILP %v != exhaustive %v", seed, q, res.ExpectedUtility, want)
+			return false
+		}
+		raw, err := NewOptimizer(idx, WithoutPruning()).MaxExpectedUtility(budget, q)
+		if err != nil {
+			t.Logf("unpruned MaxExpectedUtility: %v", err)
+			return false
+		}
+		expected := func(d *model.Deployment) float64 { return metrics.ExpectedUtility(idx, d, q) }
+		if !prunedMinimal(t, res.Deployment, raw.ExpectedUtility, expected) {
+			t.Logf("seed %d q %v: expected-utility pruning", seed, q)
+			return false
+		}
+		// The level encoding rarely selects a monitor it does not need, so
+		// the same pass also prunes the full deployment, which keeps every
+		// monitor that produces no evidence.
+		full := model.NewDeployment(idx.MonitorIDs()...)
+		before := expected(full)
+		NewOptimizer(idx).postPass(formulationSpec{kind: kindExpected, failProb: q, fixed: model.NewDeployment()}, full)
+		if !prunedMinimal(t, full, before, expected) {
+			t.Logf("seed %d q %v: expected-utility pruning of the full deployment", seed, q)
 			return false
 		}
 		if res.Cost > budget+1e-6 {

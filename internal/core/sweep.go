@@ -291,10 +291,10 @@ func (o *Optimizer) maxUtilityChained(budget float64, ch *sweepChain) (*Result, 
 	if budget < 0 || math.IsNaN(budget) || math.IsInf(budget, 0) {
 		return nil, fmt.Errorf("%w: %v", ErrBadBudget, budget)
 	}
+	spec := formulationSpec{kind: kindUtility, budget: budget, fixed: model.NewDeployment()}
 	if len(o.idx.MonitorIDs()) == 0 {
-		res := o.emptyResult()
-		res.Budget = budget
-		return res, nil
+		res, _, err := o.solve(spec, nil)
+		return res, err
 	}
 
 	if ch.prev != nil && budget == ch.prevBudget {
@@ -304,7 +304,7 @@ func (o *Optimizer) maxUtilityChained(budget float64, ch *sweepChain) (*Result, 
 		return &res, nil
 	}
 
-	f, err := o.buildFormulation(formulationSpec{budget: budget, fixed: model.NewDeployment()})
+	f, err := o.buildFormulation(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +315,7 @@ func (o *Optimizer) maxUtilityChained(budget float64, ch *sweepChain) (*Result, 
 		}
 	}
 
-	res, sol, err := o.solveMaxUtilityFormulation(f, budget, model.NewDeployment(), ilp.WithWorkspace(ch.ws))
+	res, sol, err := o.solve(spec, f, ilp.WithWorkspace(ch.ws))
 	if err != nil {
 		return nil, err
 	}
@@ -343,29 +343,20 @@ func (o *Optimizer) trySweepSkip(f *formulation, budget float64, ch *sweepChain)
 	if ch.basis != nil {
 		lpOpts = append(lpOpts, lp.WithWarmStart(ch.basis))
 	}
-	if o.cfg.kernel != lp.KernelAuto {
-		lpOpts = append(lpOpts, lp.WithKernel(o.cfg.kernel))
-	}
-	if o.cfg.ctx != nil {
-		lpOpts = append(lpOpts, lp.WithContext(o.cfg.ctx))
-	}
-	rsol, err := f.prob.SolveRelaxation(lpOpts...)
-	if err != nil || rsol.Status != lp.StatusOptimal {
+	rsol := o.priceRelaxation(f, lpOpts...)
+	if rsol == nil {
 		return nil
 	}
 	if rsol.Basis != nil {
 		ch.basis = rsol.Basis
 	}
-	prevObj := metrics.CorroboratedUtility(o.idx, ch.prev.Deployment, o.corroborationLevel())
-	if rsol.Objective > prevObj+sweepBoundTol {
+	if rsol.Objective > o.Objective(ch.prev.Deployment)+sweepBoundTol {
 		return nil
 	}
 	res := *ch.prev
 	res.Budget = budget
 	res.RelaxationUtility = rsol.Objective
-	if f.budgetRow >= 0 {
-		res.BudgetShadowPrice = rsol.Dual(f.budgetRow)
-	}
+	res.BudgetShadowPrice = rsol.Dual(f.budgetRow)
 	res.Stats = SolveStats{LPIterations: rsol.Iterations}
 	// The deployment was inherited, not solved for at this budget; mark it
 	// so per-budget-point caches never store a carried-over set.

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"secmon/internal/ilp"
-	"secmon/internal/lp"
 	"secmon/internal/metrics"
 	"secmon/internal/model"
 )
@@ -67,116 +65,17 @@ func (o *Optimizer) MaxWeighted(budget float64, weights Objectives) (*WeightedRe
 	if err := weights.validate(); err != nil {
 		return nil, err
 	}
-	if len(o.idx.MonitorIDs()) == 0 {
-		res := o.emptyResult()
-		res.Budget = budget
-		return &WeightedResult{Result: *res}, nil
-	}
-
-	f, err := o.buildWeightedFormulation(budget, weights)
+	spec := formulationSpec{kind: kindWeighted, budget: budget, fixed: model.NewDeployment(), weights: weights}
+	res, _, err := o.solve(spec, nil)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := f.prob.Solve(o.cfg.solverOptions...)
-	if err != nil {
-		return nil, fmt.Errorf("core: weighted solve: %w", err)
-	}
-	switch sol.Status {
-	case ilp.StatusOptimal, ilp.StatusFeasible:
-	default:
-		return nil, fmt.Errorf("core: weighted solve stopped with status %v and no incumbent", sol.Status)
-	}
-
-	deployment := f.decode(sol)
-	res := o.newResult(deployment, sol)
-	res.Budget = budget
-	res.BudgetShadowPrice = sol.RootDual(f.budgetRow)
-	res.RelaxationUtility = sol.RootObjective
-
-	richness := metrics.Richness(o.idx, deployment)
-	redundancy := metrics.MeanRedundancy(o.idx, deployment)
 	return &WeightedResult{
 		Result:          *res,
-		Score:           weights.Utility*res.Utility + weights.Richness*richness + weights.Redundancy*redundancy,
-		RichnessValue:   richness,
-		RedundancyValue: redundancy,
+		Score:           o.objective(spec)(res.Deployment),
+		RichnessValue:   metrics.Richness(o.idx, res.Deployment),
+		RedundancyValue: metrics.MeanRedundancy(o.idx, res.Deployment),
 	}, nil
-}
-
-// buildWeightedFormulation is the compact coverage formulation with the
-// weighted objective: coverage variables carry utility and richness
-// contributions, monitor variables carry redundancy contributions.
-func (o *Optimizer) buildWeightedFormulation(budget float64, weights Objectives) (*formulation, error) {
-	prob := ilp.NewProblem(lp.Maximize)
-	f := &formulation{
-		prob:      prob,
-		fixed:     model.NewDeployment(),
-		monitors:  o.idx.MonitorIDs(),
-		budgetRow: -1,
-	}
-	f.xVars = make([]lp.VarID, len(f.monitors))
-
-	contrib := evidenceContribution(o.idx)
-	fieldShare, totalFields := richnessShares(o.idx, contrib)
-	relevantCount := len(contrib)
-
-	// Monitor variables: redundancy contribution is the number of relevant
-	// evidence data types the monitor produces, normalized the same way as
-	// metrics.MeanRedundancy.
-	var budgetTerms []lp.Term
-	for i, id := range f.monitors {
-		m, _ := o.idx.Monitor(id)
-		redContribution := 0.0
-		if weights.Redundancy > 0 && relevantCount > 0 {
-			produced := 0
-			for _, d := range m.Produces {
-				if _, ok := contrib[d]; ok {
-					produced++
-				}
-			}
-			redContribution = weights.Redundancy * float64(produced) / float64(relevantCount)
-		}
-		v, err := prob.AddBinaryVariable("x:"+string(id), redContribution)
-		if err != nil {
-			return nil, fmt.Errorf("core: add monitor variable: %w", err)
-		}
-		f.xVars[i] = v
-		prob.SetBranchPriority(v, 1)
-		budgetTerms = append(budgetTerms, lp.Term{Var: v, Coeff: m.TotalCost()})
-	}
-	row, err := prob.AddConstraint("budget", budgetTerms, lp.LE, budget)
-	if err != nil {
-		return nil, fmt.Errorf("core: budget row: %w", err)
-	}
-	f.budgetRow = row
-
-	// Coverage variables carry the utility and richness objective shares.
-	k := o.corroborationLevel()
-	for _, d := range o.idx.DataTypeIDs() {
-		u, relevant := contrib[d]
-		if !relevant || len(o.idx.Producers(d)) == 0 {
-			continue
-		}
-		obj := weights.Utility * u
-		if totalFields > 0 {
-			obj += weights.Richness * fieldShare[d]
-		}
-		z, err := prob.AddVariable("z:"+string(d), 0, 1, obj)
-		if err != nil {
-			return nil, fmt.Errorf("core: add coverage variable: %w", err)
-		}
-		if k > 1 {
-			prob.SetInteger(z)
-		}
-		terms := []lp.Term{{Var: z, Coeff: float64(k)}}
-		for _, mid := range o.idx.Producers(d) {
-			terms = append(terms, lp.Term{Var: f.xVars[f.monitorIndex(mid)], Coeff: -1})
-		}
-		if _, err := prob.AddConstraint("link:"+string(d), terms, lp.LE, 0); err != nil {
-			return nil, fmt.Errorf("core: link row: %w", err)
-		}
-	}
-	return f, nil
 }
 
 // richnessShares computes each relevant data type's share of the richness

@@ -12,21 +12,28 @@ import (
 )
 
 func TestMaxWeightedPureUtilityMatchesMaxUtility(t *testing.T) {
+	// Under corroboration both objectives count only evidence k monitors
+	// produce, so their corroborated utilities must agree; at k = 1 that is
+	// plain utility.
 	idx := testIndex(t)
-	for _, budget := range []float64{15, 45, 75} {
-		exact, err := NewOptimizer(idx).MaxUtility(budget)
-		if err != nil {
-			t.Fatalf("MaxUtility(%v): %v", budget, err)
-		}
-		weighted, err := NewOptimizer(idx).MaxWeighted(budget, Objectives{Utility: 1})
-		if err != nil {
-			t.Fatalf("MaxWeighted(%v): %v", budget, err)
-		}
-		if !approx(weighted.Utility, exact.Utility) {
-			t.Errorf("budget %v: weighted utility %v != exact %v", budget, weighted.Utility, exact.Utility)
-		}
-		if !approx(weighted.Score, weighted.Utility) {
-			t.Errorf("budget %v: score %v != utility %v", budget, weighted.Score, weighted.Utility)
+	for _, k := range []int{1, 2} {
+		for _, budget := range []float64{15, 45, 75} {
+			exact, err := NewOptimizer(idx, WithCorroboration(k)).MaxUtility(budget)
+			if err != nil {
+				t.Fatalf("k=%d MaxUtility(%v): %v", k, budget, err)
+			}
+			weighted, err := NewOptimizer(idx, WithCorroboration(k)).MaxWeighted(budget, Objectives{Utility: 1})
+			if err != nil {
+				t.Fatalf("k=%d MaxWeighted(%v): %v", k, budget, err)
+			}
+			got := metrics.CorroboratedUtility(idx, weighted.Deployment, k)
+			want := metrics.CorroboratedUtility(idx, exact.Deployment, k)
+			if !approx(got, want) {
+				t.Errorf("k=%d budget %v: weighted corroborated utility %v != exact %v", k, budget, got, want)
+			}
+			if !approx(weighted.Score, weighted.Utility) {
+				t.Errorf("k=%d budget %v: score %v != utility %v", k, budget, weighted.Score, weighted.Utility)
+			}
 		}
 	}
 }
