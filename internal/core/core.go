@@ -484,12 +484,19 @@ func (o *Optimizer) solve(spec formulationSpec, f *formulation, extra ...ilp.Opt
 	}
 
 	res := o.newResult(d, sol)
+	// MinCost charges only the monitors it may choose: the kept ones are
+	// fixed at no cost, so the ILP's bound omits their cost, which Cost
+	// includes. Shift the bound into Cost's units, and the gap with it.
+	shifted := spec.kind == kindCost && res.BoundKnown && spec.fixed != nil && spec.fixed.Len() > 0
+	if shifted {
+		res.BestBound += metrics.Cost(o.idx, spec.fixed)
+	}
 	if fallback {
 		res.Fallback = true
-		if res.BoundKnown {
-			obj := o.objective(spec)(d)
-			res.Gap = math.Abs(res.BestBound-obj) / math.Max(1, math.Abs(obj))
-		}
+	}
+	if res.BoundKnown && (fallback || shifted && !res.Proven) {
+		obj := o.objective(spec)(d)
+		res.Gap = math.Abs(res.BestBound-obj) / math.Max(1, math.Abs(obj))
 	}
 	if spec.kind != kindCost {
 		res.Budget = spec.budget

@@ -9,6 +9,7 @@ import (
 	"secmon/internal/ilp"
 	"secmon/internal/metrics"
 	"secmon/internal/model"
+	"secmon/internal/synth"
 )
 
 const testTol = 1e-9
@@ -353,6 +354,31 @@ func TestMinCostIncrementalKeepsExisting(t *testing.T) {
 	}
 	if !res.Deployment.Contains("m-http") {
 		t.Error("existing monitor dropped")
+	}
+}
+
+// TestMinCostIncrementalBoundIncludesKept checks that a proven incremental
+// MinCost reports its bound in Cost's units: the kept monitors' cost, which
+// the ILP does not charge, is part of both, so BestBound equals Cost.
+func TestMinCostIncrementalBoundIncludesKept(t *testing.T) {
+	idx := synthIndex(t, synth.Config{Seed: 3, Monitors: 40, Attacks: 40})
+	ids := idx.MonitorIDs()
+	existing := model.NewDeployment(ids[0], ids[1])
+	for _, decompose := range []bool{false, true} {
+		opts := []Option{WithWorkers(1), WithClampToAchievable()}
+		if decompose {
+			opts = append(opts, WithDecomposition())
+		}
+		res, err := NewOptimizer(idx, opts...).MinCostIncremental(CoverageTargets{Global: 0.7}, existing)
+		if err != nil {
+			t.Fatalf("decompose %v: %v", decompose, err)
+		}
+		if !res.Proven || !res.BoundKnown {
+			t.Fatalf("decompose %v: proven %v, bound known %v; want a proven bound", decompose, res.Proven, res.BoundKnown)
+		}
+		if math.Abs(res.BestBound-res.Cost) > 1e-9*math.Abs(res.Cost) {
+			t.Errorf("decompose %v: BestBound %v, Cost %v; want equal when proven", decompose, res.BestBound, res.Cost)
+		}
 	}
 }
 

@@ -213,6 +213,12 @@ func synthIndex(t *testing.T, cfg synth.Config) *model.Index {
 // coverage rows make it dual-start, so auto dispatch runs it on LU although
 // its basis has only 40 rows: no eta vector may appear, at one worker or in
 // a two-worker search's clones.
+//
+// The mid-maxutil rows are plan-cold mid-class MaxUtility solves (40%
+// budget, auto kernel): an LU primal devex root followed by dual dives. The
+// small-maxutil-auto row is a small-class MaxUtility solve, which starts
+// primal feasible below luAutoMinDim and so runs the eta kernel's primal
+// phase; both kernels share the primal pricing.
 func TestLUKernelCountersPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("pinned pivot counts were recorded on amd64")
@@ -226,19 +232,23 @@ func TestLUKernelCountersPinned(t *testing.T) {
 		name                         string
 		sys                          synth.Config
 		lu                           bool // pin the LU kernel; other rows run the default
+		eta                          bool // auto dispatch runs the eta kernel (primal start below luAutoMinDim)
 		mincost                      bool
 		level                        float64 // fraction of the total monitor cost (MaxUtility) or coverage target, 0 meaning 0.9 (MinCost)
 		objective                    float64
 		iters, flips, updates, nodes int
 	}{
-		{"e7-maxutil", e7, true, false, 0.3, 0.9946432839388145, 665, 0, 429, 1},
-		{"e7-maxutil-22", e7, true, false, 0.22, 0.9604754222434672, 21578, 2475, 34511, 1447},
-		{"e7-mincost", e7, true, true, 0, 5508.649999999995, 351, 280, 351, 1},
-		{"mid-mincost-s1", mid(1), false, true, 0, 6099.129999999997, 428, 393, 428, 1},
-		{"mid-mincost-s2", mid(2), false, true, 0, 5795.630000000001, 439, 385, 439, 1},
-		{"mid-mincost-s3", mid(3), false, true, 0, 6592.400000000002, 428, 412, 428, 1},
-		{"scale-maxutil", scale, false, false, 0.22, 0.98374527717755289, 68180, 17701, 33365, 6597},
-		{"small-mincost-auto", small, false, true, 0.8, 750.3500000000001, 52, 62, 52, 1},
+		{"e7-maxutil", e7, true, false, false, 0.3, 0.9946432839388145, 665, 0, 429, 1},
+		{"e7-maxutil-22", e7, true, false, false, 0.22, 0.9604754222434672, 21578, 2475, 34511, 1447},
+		{"e7-mincost", e7, true, false, true, 0, 5508.649999999995, 351, 280, 351, 1},
+		{"mid-mincost-s1", mid(1), false, false, true, 0, 6099.129999999997, 428, 393, 428, 1},
+		{"mid-mincost-s2", mid(2), false, false, true, 0, 5795.630000000001, 439, 385, 439, 1},
+		{"mid-mincost-s3", mid(3), false, false, true, 0, 6592.400000000002, 428, 412, 428, 1},
+		{"mid-maxutil-s1", mid(1), false, false, false, 0.4, 0.9884738625860123, 728, 0, 442, 1},
+		{"mid-maxutil-s2", mid(2), false, false, false, 0.4, 0.9959412243996079, 703, 1, 396, 1},
+		{"scale-maxutil", scale, false, false, false, 0.22, 0.98374527717755289, 68180, 17701, 33365, 6597},
+		{"small-mincost-auto", small, false, false, true, 0.8, 750.3500000000001, 52, 62, 52, 1},
+		{"small-maxutil-auto", small, false, true, false, 0.4, 0.9772822580645161, 84, 0, 0, 1},
 	} {
 		idx := indexes[c.sys]
 		if idx == nil {
@@ -282,10 +292,13 @@ func TestLUKernelCountersPinned(t *testing.T) {
 				c.name, obj, st.LPIterations, st.BoundFlips, st.Updates, st.Nodes,
 				c.objective, c.iters, c.flips, c.updates, c.nodes)
 		}
-		// Every monolithic row runs LU: pinned, at least luAutoMinDim rows,
-		// or dual-start. A two-worker MinCost search must stay on LU in its
-		// worker clones too.
-		if res.Stats.Decomposition == nil && st.Etas != 0 {
+		// Every other monolithic row runs LU: pinned, at least luAutoMinDim
+		// rows, or dual-start. A two-worker MinCost search must stay on LU in
+		// its worker clones too.
+		if c.eta && st.Etas == 0 {
+			t.Errorf("%s: no etas; want the eta kernel under auto dispatch", c.name)
+		}
+		if !c.eta && res.Stats.Decomposition == nil && st.Etas != 0 {
 			t.Errorf("%s: %d etas; want every node LP on LU", c.name, st.Etas)
 		}
 		if c.mincost {
@@ -293,6 +306,60 @@ func TestLUKernelCountersPinned(t *testing.T) {
 			if math.Abs(two.Cost-obj) > 1e-9*(1+obj) || two.Stats.Etas != 0 {
 				t.Errorf("%s at two workers: cost %v, %d etas; want %v and every node LP on LU",
 					c.name, two.Cost, two.Stats.Etas, obj)
+			}
+		}
+	}
+}
+
+// TestLUKernelCountersPinnedWarmChain pins three-step MaxUtilityWarm chains
+// on a 250x100 instance (the tenant-churn shape) at 40%, 34% and 28% of the
+// total monitor cost: each budget cut leaves the prior optimum infeasible,
+// so steps two and three run the warm dual simplex from the remapped prior
+// basis. The auto chain runs the eta kernel (primal start below
+// luAutoMinDim), the pinned chain the LU kernel with its bound-flipping
+// ratio test. Like TestLUKernelCountersPinned, any drift means the pivots
+// changed.
+func TestLUKernelCountersPinnedWarmChain(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("pinned pivot counts were recorded on amd64")
+	}
+	idx := synthIndex(t, synth.Config{Seed: 1, Monitors: 250, Attacks: 100})
+	total := idx.System().TotalMonitorCost()
+	type step struct {
+		utility                                 float64
+		iters, flips, updates, etas, nodes, hit int
+	}
+	for _, c := range []struct {
+		name  string
+		lu    bool
+		steps []step
+	}{
+		{"warm-auto", false, []step{
+			{0.9894383457608397, 427, 0, 0, 290, 1, 0},
+			{0.9894383457608397, 191, 0, 0, 460, 1, 60},
+			{0.9853631593482464, 2234, 0, 0, 4463, 289, 303},
+		}},
+		{"warm-lu", true, []step{
+			{0.9894383457608397, 433, 0, 258, 0, 1, 0},
+			{0.9894383457608397, 172, 58, 172, 0, 1, 64},
+			{0.9853631593482464, 2521, 498, 2868, 0, 305, 320},
+		}},
+	} {
+		var prior *Prior
+		for i, frac := range []float64{0.40, 0.34, 0.28} {
+			opts := []Option{WithWorkers(1)}
+			if c.lu {
+				opts = append(opts, WithKernel(lp.KernelLU))
+			}
+			res, next, err := NewOptimizer(idx, opts...).MaxUtilityWarm(total*frac, prior)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", c.name, i, err)
+			}
+			prior = next
+			st, want := res.Stats, c.steps[i]
+			got := step{res.Utility, st.LPIterations, st.BoundFlips, st.Updates, st.Etas, st.Nodes, st.WarmHits}
+			if got != want {
+				t.Errorf("%s step %d: got %+v; pinned %+v", c.name, i, got, want)
 			}
 		}
 	}

@@ -46,11 +46,10 @@ func checkDSEWeights(t *testing.T, s *spx, label string) {
 	if !s.st.dseOK {
 		t.Fatalf("%s: weights not marked as describing the basis", label)
 	}
-	y := make([]float64, s.m)
 	for i := 0; i < s.m; i++ {
-		s.btranRow(i, y)
+		s.btranRow(i)
 		want := 0.0
-		for _, v := range y {
+		for _, v := range s.st.rho {
 			want += v * v
 		}
 		if got := s.st.dseW[i]; math.Abs(got-want) > 1e-6*want {

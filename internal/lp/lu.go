@@ -18,11 +18,19 @@ package lp
 // the result nonzeros rather than m.
 //
 // Slots: slot t owns pivot row uRow[t], basis position uPos[t] and pivot
-// value uPiv[t]. urows[t] holds the off-diagonal entries of U's row uRow[t]
-// keyed by basis position (all at slots > t); ucols[t] holds the entries of
-// U's column uPos[t] keyed by row (all at slots < t). Forrest-Tomlin updates
-// cyclically shift slots, so rows and positions are mapped through
-// slotOfRow/slotOfPos rather than stored as slot indices.
+// value uPiv[t]. The U lists are keyed by row and by position, not by slot:
+// urows[r] holds the off-diagonal entries of U's row r keyed by basis
+// position (all at slots after r's), and ucols[p] holds the entries of U's
+// column p keyed by row (all at slots before p's). Forrest-Tomlin updates
+// cyclically shift slots, which then moves only the three int/float slot
+// arrays and rewrites slotOfRow/slotOfPos; no list header moves. Solves
+// reach slot t's lists through urows[uRow[t]] and ucols[uPos[t]].
+//
+// Result patterns: ftran and btran record where their result may be
+// nonzero in a pattern, and clear the output vector through its previous
+// pattern instead of in full, so a pivot's work tracks the nonzeros it
+// touches (Hall and McKinnon, "Hyper-sparsity in the revised simplex method
+// and how to exploit it", 2005).
 
 import "math"
 
@@ -88,6 +96,50 @@ type luEntry struct {
 	val float64
 }
 
+// pattern lists the positions at which a dense-stored vector may be
+// nonzero. all marks a vector whose pattern is not tracked: any entry may be
+// nonzero, and the next reset clears it in full.
+type pattern struct {
+	nz  []int32
+	all bool
+}
+
+// reset zeroes v wherever the pattern says it may be nonzero and leaves the
+// pattern empty and tracked.
+func (p *pattern) reset(v []float64) {
+	if p.all {
+		clear(v)
+	} else {
+		for _, i := range p.nz {
+			v[i] = 0
+		}
+	}
+	p.nz = p.nz[:0]
+	p.all = false
+}
+
+// sortPattern orders p's positions ascending. A pattern holding at least
+// len(v)/luHyperDenom positions is rebuilt by one scan of v for its
+// nonzeros, as orderClosure does; a shorter one is sorted in place. Both give
+// the ascending order of v's nonzeros that a 0..m scan visits (the scan
+// drops explicit zeros, which every consumer skips anyway).
+func (p *pattern) sortPattern(v []float64) {
+	if p.all {
+		return // positions walks 0..m-1, already ascending
+	}
+	if len(p.nz)*luHyperDenom < len(v) {
+		sortI32ByKey(p.nz, nil)
+		return
+	}
+	nz := p.nz[:0]
+	for i, x := range v {
+		if x != 0 {
+			nz = append(nz, int32(i))
+		}
+	}
+	p.nz = nz
+}
+
 // luFactor is the LU representation of one basis, embedded in sparseState and
 // reused (buffers and all) across factorizations.
 type luFactor struct {
@@ -104,7 +156,8 @@ type luFactor struct {
 	ltPtr     []int32 // CSR offsets: steps whose multiplier set contains row r
 	ltStep    []int32
 
-	// U in slot order (see package comment).
+	// U: slot arrays in slot order, lists keyed by row (urows) and by
+	// position (ucols); see the package comment.
 	uPiv      []float64
 	uRow      []int32
 	uPos      []int32
@@ -144,6 +197,9 @@ type luFactor struct {
 	dstamp int64
 	reach  []int32
 	stack  []int32
+	topo   []int32 // topoU/topoL result
+	dfs    []int32 // topoU/topoL DFS stack
+	cursor []int32 // DFS edge cursor per stack level; factorize's fill cursors
 
 	// Factorization scratch: the active submatrix.
 	colEnt  [][]luEntry // exact active column entries (row, val)
@@ -156,7 +212,6 @@ type luFactor struct {
 	rowSing []int32 // candidate row-singleton queue (verified on pop)
 	colDone []bool
 	rowDone []bool
-	cursor  []int32
 }
 
 // sortI32ByKey sorts a ascending by key[a[i]] (or by value when key is nil)
@@ -211,27 +266,19 @@ func sortI32ByKey(a []int32, key []int32) {
 	}
 }
 
-// orderClosure sorts a reachability closure ascending by key (by value when
-// key is nil), in place. Every node of list carries the stamp st in dmark,
-// and order lists all m nodes by ascending key (nil: the identity), so a
-// closure holding at least m/luHyperDenom nodes is ordered by one O(m) scan
-// of the stamps instead of an O(n log n) comparison sort. Keys are distinct,
-// so both give the same order and the solves stay bit-identical.
+// orderClosure sorts a reachability closure ascending by key, in place.
+// Every node of list carries the stamp st in dmark, and order lists all m
+// nodes by ascending key, so a closure holding at least m/luHyperDenom
+// nodes is ordered by one O(m) scan of the stamps instead of an
+// O(n log n) comparison sort. Keys are distinct, so both give the same
+// order and the solves stay bit-identical. Only FTRAN's L closure needs it:
+// the gather closures run in depth-first order (see topoU).
 func (f *luFactor) orderClosure(list []int32, st int64, order, key []int32) {
 	if len(list)*luHyperDenom < f.m {
 		sortI32ByKey(list, key)
 		return
 	}
 	n := 0
-	if order == nil {
-		for x, d := range f.dmark[:f.m] {
-			if d == st {
-				list[n] = int32(x)
-				n++
-			}
-		}
-		return
-	}
 	for _, x := range order[:f.m] {
 		if f.dmark[x] == st {
 			list[n] = x
@@ -423,9 +470,8 @@ func (f *luFactor) factorize(s *spx, target []int32) bool {
 	nnz := 0
 	for t := 0; t < m; t++ {
 		r := f.uRow[t]
-		for _, e := range f.urows[t] {
-			st := f.slotOfPos[e.at]
-			f.ucols[st] = append(f.ucols[st], luEntry{r, e.val})
+		for _, e := range f.urows[r] {
+			f.ucols[e.at] = append(f.ucols[e.at], luEntry{r, e.val})
 			nnz++
 		}
 	}
@@ -546,7 +592,7 @@ func (f *luFactor) eliminate(k int) bool {
 	// Update every other active column with an entry in the pivot row,
 	// collecting those entries as U row k. rowPat is a superset: entries are
 	// verified against the exact column before use.
-	urow := f.urows[k][:0]
+	urow := f.urows[pr][:0]
 	f.stamp++
 	pst := f.stamp
 	for _, j := range f.rowPat[pr] {
@@ -611,7 +657,7 @@ func (f *luFactor) eliminate(k int) bool {
 		}
 		f.bktIn(j)
 	}
-	f.urows[k] = urow
+	f.urows[pr] = urow
 
 	// Retire the pivot column and row.
 	f.bktOut(pj)
@@ -648,10 +694,13 @@ func (f *luFactor) clearSpike() {
 
 // ftran solves B w = v. v is a row-space vector that must be zero outside
 // nzIn (nzIn nil means dense); ftran consumes v and returns it all-zero. The
-// position-space result is written to out, which is fully (re)initialized.
-// saveSpike records the partial FTRAN R...R L^-1 v for a following update.
-func (f *luFactor) ftran(v, out []float64, nzIn []int32, saveSpike bool) {
+// position-space result is written to out, which is first cleared through
+// its pattern outPat; outPat then lists the result's nonzero positions, in
+// descending slot order (not sorted). saveSpike records the partial FTRAN
+// R...R L^-1 v for a following update.
+func (f *luFactor) ftran(v, out []float64, outPat *pattern, nzIn []int32, saveSpike bool) {
 	m := f.m
+	outPat.reset(out)
 	if nzIn == nil || m < luHyperMinDim || len(nzIn)*luHyperDenom >= m {
 		// Dense path: all steps in order.
 		for k := 0; k < m; k++ {
@@ -681,18 +730,21 @@ func (f *luFactor) ftran(v, out []float64, nzIn []int32, saveSpike bool) {
 			}
 			f.spikeDense, f.spikeMax, f.haveSpike = true, mx, true
 		}
-		clear(out)
+		nz := outPat.nz
 		for t := m - 1; t >= 0; t-- {
 			sum := v[f.uRow[t]]
-			for _, e := range f.urows[t] {
+			for _, e := range f.urows[f.uRow[t]] {
 				if w := out[e.at]; w != 0 {
 					sum -= e.val * w
 				}
 			}
 			if sum != 0 {
-				out[f.uPos[t]] = sum / f.uPiv[t]
+				p := f.uPos[t]
+				out[p] = sum / f.uPiv[t]
+				nz = append(nz, p)
 			}
 		}
+		outPat.nz = nz
 		clear(v)
 		return
 	}
@@ -766,46 +818,32 @@ func (f *luFactor) ftran(v, out []float64, nzIn []int32, saveSpike bool) {
 		f.spikeNz, f.spikeMax, f.haveSpike = nz, mx, true
 	}
 	// U: closure over slots (a nonzero result position feeds the equations
-	// of earlier slots through its column), executed in descending slot
-	// order.
-	clear(out)
-	f.dstamp++
-	us := f.dstamp
-	slots := f.stack[:0] // stack doubles as the slot list; DFS uses its tail
+	// of earlier slots through its column), executed in a topological
+	// order. Each slot gathers its own U row, so every such order gives
+	// the descending slot sweep's bits.
+	seeds := f.stack[:0]
 	for _, r := range reach {
-		if v[r] == 0 {
-			continue
-		}
-		t := f.slotOfRow[r]
-		if f.dmark[t] != us {
-			f.dmark[t] = us
-			slots = append(slots, t)
+		if v[r] != 0 {
+			seeds = append(seeds, f.slotOfRow[r])
 		}
 	}
-	for probe := 0; probe < len(slots); probe++ {
-		t := slots[probe]
-		for _, e := range f.ucols[t] {
-			st := f.slotOfRow[e.at]
-			if f.dmark[st] != us {
-				f.dmark[st] = us
-				slots = append(slots, st)
-			}
-		}
-	}
-	f.orderClosure(slots, us, nil, nil)
-	for i := len(slots) - 1; i >= 0; i-- {
-		t := slots[i]
+	f.stack = seeds
+	slots := f.topoU(seeds, f.ucols, f.uPos, f.slotOfRow)
+	nz := outPat.nz
+	for _, t := range slots {
 		sum := v[f.uRow[t]]
-		for _, e := range f.urows[t] {
+		for _, e := range f.urows[f.uRow[t]] {
 			if w := out[e.at]; w != 0 {
 				sum -= e.val * w
 			}
 		}
 		if sum != 0 {
-			out[f.uPos[t]] = sum / f.uPiv[t]
+			p := f.uPos[t]
+			out[p] = sum / f.uPiv[t]
+			nz = append(nz, p)
 		}
 	}
-	f.stack = slots[:0]
+	outPat.nz = nz
 	for _, r := range reach {
 		v[r] = 0
 	}
@@ -814,14 +852,16 @@ func (f *luFactor) ftran(v, out []float64, nzIn []int32, saveSpike bool) {
 
 // btran solves B^T y = v. v is a position-space vector, zero outside nzIn
 // (nzIn nil means dense); it is left untouched. The row-space result is
-// written to out, which is fully (re)initialized.
-func (f *luFactor) btran(v, out []float64, nzIn []int32) {
+// written to out, which is first cleared through its pattern outPat; outPat
+// then lists the result's nonzero rows in ascending order, the rows the L^T
+// stage writes included.
+func (f *luFactor) btran(v, out []float64, outPat *pattern, nzIn []int32) {
 	m := f.m
+	outPat.reset(out)
 	if nzIn == nil || m < luHyperMinDim || len(nzIn)*luHyperDenom >= m {
-		clear(out)
 		for t := 0; t < m; t++ {
 			sum := v[f.uPos[t]]
-			for _, e := range f.ucols[t] {
+			for _, e := range f.ucols[f.uPos[t]] {
 				if w := out[e.at]; w != 0 {
 					sum -= e.val * w
 				}
@@ -846,40 +886,34 @@ func (f *luFactor) btran(v, out []float64, nzIn []int32) {
 			}
 			out[f.lRow[k]] = sum
 		}
+		nz := outPat.nz
+		for r, x := range out[:m] {
+			if x != 0 {
+				nz = append(nz, int32(r))
+			}
+		}
+		outPat.nz = nz
 		return
 	}
 
 	// Hyper-sparse path. U^T: closure over slots (a solved row feeds the
-	// equations of later slots through its U row), executed in ascending
-	// slot order.
-	clear(out)
-	f.dstamp++
-	us := f.dstamp
-	slots := f.stack[:0]
+	// equations of later slots through its U row), executed in a
+	// topological order; each slot gathers its own U column, so every such
+	// order gives the ascending slot sweep's bits.
+	seeds := f.stack[:0]
 	for _, p := range nzIn {
-		t := f.slotOfPos[p]
-		if f.dmark[t] != us {
-			f.dmark[t] = us
-			slots = append(slots, t)
-		}
+		seeds = append(seeds, f.slotOfPos[p])
 	}
-	for probe := 0; probe < len(slots); probe++ {
-		t := slots[probe]
-		for _, e := range f.urows[t] {
-			st := f.slotOfPos[e.at]
-			if f.dmark[st] != us {
-				f.dmark[st] = us
-				slots = append(slots, st)
-			}
-		}
-	}
-	f.orderClosure(slots, us, nil, nil)
-	f.dstamp++
-	rs := f.dstamp
-	rows := f.reach[:0] // row-space nonzero pattern
+	f.stack = seeds
+	slots := f.topoU(seeds, f.urows, f.uRow, f.slotOfPos)
+	// The row pattern is stamped in mark (dmark serves the closures).
+	f.stamp++
+	rs := f.stamp
+	rows := outPat.nz
 	for _, t := range slots {
-		sum := v[f.uPos[t]]
-		for _, e := range f.ucols[t] {
+		p := f.uPos[t]
+		sum := v[p]
+		for _, e := range f.ucols[p] {
 			if w := out[e.at]; w != 0 {
 				sum -= e.val * w
 			}
@@ -889,12 +923,11 @@ func (f *luFactor) btran(v, out []float64, nzIn []int32) {
 		}
 		r := f.uRow[t]
 		out[r] = sum / f.uPiv[t]
-		if f.dmark[r] != rs {
-			f.dmark[r] = rs
+		if f.mark[r] != rs {
+			f.mark[r] = rs
 			rows = append(rows, r)
 		}
 	}
-	f.stack = slots[:0]
 	for j := len(f.rRow) - 1; j >= 0; j-- {
 		t := out[f.rRow[j]]
 		if t == 0 {
@@ -903,52 +936,132 @@ func (f *luFactor) btran(v, out []float64, nzIn []int32) {
 		for idx := f.rStart[j]; idx < f.rStart[j+1]; idx++ {
 			r := f.rInd[idx]
 			out[r] -= f.rVal[idx] * t
-			if f.dmark[r] != rs {
-				f.dmark[r] = rs
+			if f.mark[r] != rs {
+				f.mark[r] = rs
 				rows = append(rows, r)
 			}
 		}
 	}
 	// L^T: closure over steps (a nonzero multiplier row feeds the steps
-	// whose multiplier sets contain it), executed in descending step order.
-	steps := f.stack[:0]
-	f.dstamp++
-	ls := f.dstamp
+	// whose multiplier sets contain it), executed in a topological order;
+	// each step gathers its own multipliers, so every such order gives the
+	// descending step sweep's bits.
+	seeds = f.stack[:0]
 	for _, r := range rows {
-		for idx := f.ltPtr[r]; idx < f.ltPtr[r+1]; idx++ {
-			k := f.ltStep[idx]
-			if f.dmark[k] != ls {
-				f.dmark[k] = ls
-				steps = append(steps, k)
-			}
-		}
+		seeds = append(seeds, f.ltStep[f.ltPtr[r]:f.ltPtr[r+1]]...)
 	}
-	for probe := 0; probe < len(steps); probe++ {
-		k := steps[probe]
+	f.stack = seeds
+	for _, k := range f.topoL(seeds) {
 		r := f.lRow[k]
-		for idx := f.ltPtr[r]; idx < f.ltPtr[r+1]; idx++ {
-			k2 := f.ltStep[idx]
-			if f.dmark[k2] != ls {
-				f.dmark[k2] = ls
-				steps = append(steps, k2)
-			}
-		}
-	}
-	f.orderClosure(steps, ls, nil, nil)
-	for i := len(steps) - 1; i >= 0; i-- {
-		k := steps[i]
-		sum := out[f.lRow[k]]
+		sum := out[r]
 		for idx := f.lStart[k]; idx < f.lStart[k+1]; idx++ {
 			sum -= f.lVal[idx] * out[f.lInd[idx]]
 		}
-		out[f.lRow[k]] = sum
+		out[r] = sum
+		if f.mark[r] != rs {
+			f.mark[r] = rs
+			rows = append(rows, r)
+		}
 	}
-	f.stack = steps[:0]
-	f.reach = rows[:0]
+	outPat.nz = rows
+	outPat.sortPattern(out[:m])
+}
+
+// topoU orders the closure of the seed slots under U's pattern
+// topologically, every slot before the slots whose equations read its
+// value, by Gilbert-Peierls depth-first search (reverse postorder). Slot t's
+// successors are the slots slotOf[e.at] of the entries e of
+// lists[key[t]]: ftran follows U's columns (ucols, uPos, slotOfRow) and btran
+// its rows (urows, uRow, slotOfPos). Seeds may repeat. The result aliases
+// f.topo.
+func (f *luFactor) topoU(seeds []int32, lists [][]luEntry, key, slotOf []int32) []int32 {
+	f.dstamp++
+	ds := f.dstamp
+	post := f.topo[:0]
+	stack := f.dfs[:0]
+	cur := f.cursor[:0]
+	for _, s0 := range seeds {
+		if f.dmark[s0] == ds {
+			continue
+		}
+		f.dmark[s0] = ds
+		stack, cur = append(stack, s0), append(cur, 0)
+		for len(stack) > 0 {
+			top := len(stack) - 1
+			list := lists[key[stack[top]]]
+			k := cur[top]
+			for k < int32(len(list)) {
+				c := slotOf[list[k].at]
+				k++
+				if f.dmark[c] != ds {
+					f.dmark[c] = ds
+					cur[top] = k
+					stack, cur = append(stack, c), append(cur, 0)
+					break
+				}
+			}
+			if k == int32(len(list)) && len(stack) == top+1 {
+				post = append(post, stack[top])
+				stack, cur = stack[:top], cur[:top]
+			}
+		}
+	}
+	f.dfs, f.cursor = stack[:0], cur[:0]
+	return reverseInto(f, post)
+}
+
+// topoL orders the closure of the seed steps under L^T's pattern
+// topologically, every step before the steps that read the row it writes
+// (those whose multiplier sets contain its pivot row), by depth-first
+// search. Seeds may repeat. The result aliases f.topo.
+func (f *luFactor) topoL(seeds []int32) []int32 {
+	f.dstamp++
+	ds := f.dstamp
+	post := f.topo[:0]
+	stack := f.dfs[:0]
+	cur := f.cursor[:0]
+	for _, k0 := range seeds {
+		if f.dmark[k0] == ds {
+			continue
+		}
+		f.dmark[k0] = ds
+		stack, cur = append(stack, k0), append(cur, f.ltPtr[f.lRow[k0]])
+		for len(stack) > 0 {
+			top := len(stack) - 1
+			end := f.ltPtr[f.lRow[stack[top]]+1]
+			idx := cur[top]
+			for idx < end {
+				c := f.ltStep[idx]
+				idx++
+				if f.dmark[c] != ds {
+					f.dmark[c] = ds
+					cur[top] = idx
+					stack, cur = append(stack, c), append(cur, f.ltPtr[f.lRow[c]])
+					break
+				}
+			}
+			if idx == end && len(stack) == top+1 {
+				post = append(post, stack[top])
+				stack, cur = stack[:top], cur[:top]
+			}
+		}
+	}
+	f.dfs, f.cursor = stack[:0], cur[:0]
+	return reverseInto(f, post)
+}
+
+// reverseInto reverses a DFS postorder in place into a topological order
+// and keeps its buffer as f.topo.
+func reverseInto(f *luFactor, post []int32) []int32 {
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	f.topo = post
+	return post
 }
 
 // update absorbs a basis change at position r by a Forrest-Tomlin update:
-// the U column at r's slot is removed, the slots are cyclically shifted, the
+// the U column at r is removed, the slots are cyclically shifted, the
 // detached pivot row is eliminated into a new row eta, and the spike saved by
 // the entering column's ftran becomes the last column of U. It reports false
 // when the new diagonal is too small to trust — the caller refactorizes.
@@ -959,35 +1072,33 @@ func (f *luFactor) update(r int) bool {
 	m := f.m
 	t := int(f.slotOfPos[r])
 	pr := f.uRow[t]
+	r32 := int32(r)
 
 	// Drop column r from its owner rows, and detach row pr into the
 	// position-indexed accumulator (its entries all sit at slots > t).
-	for _, e := range f.ucols[t] {
-		s := f.slotOfRow[e.at]
-		f.urows[s] = removeEntryAt(f.urows[s], int32(r))
+	for _, e := range f.ucols[r] {
+		f.urows[e.at] = removeEntryAt(f.urows[e.at], r32)
 		f.uNnz--
 	}
-	f.ucols[t] = f.ucols[t][:0]
+	f.ucols[r] = f.ucols[r][:0]
 	f.stamp++
 	ast := f.stamp
 	touch := f.touch[:0]
-	for _, e := range f.urows[t] {
+	for _, e := range f.urows[pr] {
 		f.acc[e.at] = e.val
 		f.mark[e.at] = ast
 		touch = append(touch, e.at)
-		f.ucols[f.slotOfPos[e.at]] = removeEntryAt(f.ucols[f.slotOfPos[e.at]], pr)
+		f.ucols[e.at] = removeEntryAt(f.ucols[e.at], pr)
 		f.uNnz--
 	}
-	f.urows[t] = f.urows[t][:0]
+	f.urows[pr] = f.urows[pr][:0]
 
-	// Cyclic shift: slots t+1..m-1 move down one; the emptied slot's list
-	// headers ride up to the last slot.
+	// Cyclic shift: slots t+1..m-1 move down one. The lists are keyed by
+	// row and position, so only the slot arrays and maps move.
+	copy(f.uPiv[t:m-1], f.uPiv[t+1:m])
+	copy(f.uRow[t:m-1], f.uRow[t+1:m])
+	copy(f.uPos[t:m-1], f.uPos[t+1:m])
 	for s := t; s < m-1; s++ {
-		f.uPiv[s] = f.uPiv[s+1]
-		f.uRow[s] = f.uRow[s+1]
-		f.uPos[s] = f.uPos[s+1]
-		f.urows[s], f.urows[s+1] = f.urows[s+1], f.urows[s]
-		f.ucols[s], f.ucols[s+1] = f.ucols[s+1], f.ucols[s]
 		f.slotOfRow[f.uRow[s]] = int32(s)
 		f.slotOfPos[f.uPos[s]] = int32(s)
 	}
@@ -1012,7 +1123,7 @@ func (f *luFactor) update(r int) bool {
 		}
 		f.rInd = append(f.rInd, f.uRow[s])
 		f.rVal = append(f.rVal, mu)
-		for _, e := range f.urows[s] {
+		for _, e := range f.urows[f.uRow[s]] {
 			if f.mark[e.at] != ast {
 				f.mark[e.at] = ast
 				f.acc[e.at] = 0
@@ -1045,16 +1156,16 @@ func (f *luFactor) update(r int) bool {
 	last := m - 1
 	f.uPiv[last] = diag
 	f.uRow[last] = pr
-	f.uPos[last] = int32(r)
+	f.uPos[last] = r32
 	f.slotOfRow[pr] = int32(last)
 	f.slotOfPos[r] = int32(last)
-	ucol := f.ucols[last][:0]
+	ucol := f.ucols[r][:0]
 	install := func(row int32, val float64) {
 		if row == pr || math.Abs(val) < luDropTol {
 			return
 		}
 		ucol = append(ucol, luEntry{row, val})
-		f.urows[f.slotOfRow[row]] = append(f.urows[f.slotOfRow[row]], luEntry{int32(r), val})
+		f.urows[row] = append(f.urows[row], luEntry{r32, val})
 		f.uNnz++
 	}
 	if f.spikeDense {
@@ -1066,7 +1177,7 @@ func (f *luFactor) update(r int) bool {
 			install(row, f.spike[row])
 		}
 	}
-	f.ucols[last] = ucol
+	f.ucols[r] = ucol
 	f.nUpdates++
 	f.clearSpike()
 	return true

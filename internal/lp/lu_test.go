@@ -137,13 +137,13 @@ func TestLUFactorizeSolves(t *testing.T) {
 			want[i] = v[i]
 		}
 		out := make([]float64, m)
-		s.st.luf.ftran(v, out, nil, false)
+		s.st.luf.ftran(v, out, &pattern{all: true}, nil, false)
 		checkFtranResidual(t, s, out, want, "dense ftran")
 		for i := range v {
 			v[i] = rng.Float64()*2 - 1
 			want[i] = v[i]
 		}
-		s.st.luf.btran(v, out, nil)
+		s.st.luf.btran(v, out, &pattern{all: true}, nil)
 		checkBtranResidual(t, s, out, v, "dense btran")
 
 		// Hyper-sparse path: a single-entry vector per position.
@@ -152,7 +152,7 @@ func TestLUFactorizeSolves(t *testing.T) {
 			clear(want)
 			v[i], want[i] = 1, 1
 			nz := []int32{int32(i)}
-			s.st.luf.ftran(v, out, nz, false)
+			s.st.luf.ftran(v, out, &pattern{all: true}, nz, false)
 			checkFtranResidual(t, s, out, want, "hyper ftran")
 			for r := range v {
 				if v[r] != 0 {
@@ -161,7 +161,7 @@ func TestLUFactorizeSolves(t *testing.T) {
 			}
 			clear(v)
 			v[i] = 1
-			s.st.luf.btran(v, out, nz)
+			s.st.luf.btran(v, out, &pattern{all: true}, nz)
 			checkBtranResidual(t, s, out, v, "hyper btran")
 		}
 	}
@@ -187,14 +187,14 @@ func TestLUUpdateResidual(t *testing.T) {
 		for i := 0; i < m; i++ {
 			inBasis[st.basis[i]] = true
 		}
-		col := make([]float64, m)
 		updates := 0
 		for step := 0; step < 12; step++ {
 			q := rng.Intn(s.n)
 			if inBasis[q] || st.mat.colNNZ(q) == 0 {
 				continue
 			}
-			s.ftranColumn(q, col) // saves the spike for update()
+			s.ftranColumn(q) // saves the spike for update()
+			col := st.col
 			r, best := -1, 1e-7
 			for i := 0; i < m; i++ {
 				if a := math.Abs(col[i]); a > best {
@@ -230,12 +230,12 @@ func TestLUUpdateResidual(t *testing.T) {
 				want[i] = v[i]
 			}
 			out := make([]float64, m)
-			st.luf.ftran(v, out, nil, false)
+			st.luf.ftran(v, out, &pattern{all: true}, nil, false)
 			checkFtranResidual(t, s, out, want, "post-update ftran")
 			for i := range v {
 				v[i] = rng.Float64()*2 - 1
 			}
-			st.luf.btran(v, out, nil)
+			st.luf.btran(v, out, &pattern{all: true}, nil)
 			checkBtranResidual(t, s, out, v, "post-update btran")
 		}
 		if updates > 0 && st.luf.nUpdates == 0 {
@@ -380,6 +380,30 @@ func firstBitDiff(a, b []float64) int {
 	return -1
 }
 
+// checkPattern requires a solve's result pattern to list every nonzero of
+// v exactly once, in ascending order when sorted is set.
+func checkPattern(t *testing.T, label string, v []float64, p pattern, sorted bool) {
+	t.Helper()
+	if p.all {
+		t.Fatalf("%s: result pattern not tracked", label)
+	}
+	seen := make(map[int32]bool, len(p.nz))
+	for k, i := range p.nz {
+		if seen[i] {
+			t.Fatalf("%s: position %d listed twice", label, i)
+		}
+		seen[i] = true
+		if sorted && k > 0 && p.nz[k-1] > i {
+			t.Fatalf("%s: pattern not ascending at %d", label, k)
+		}
+	}
+	for i, x := range v {
+		if x != 0 && !seen[int32(i)] {
+			t.Fatalf("%s: nonzero %v at %d missing from the pattern", label, x, i)
+		}
+	}
+}
+
 // TestLUHyperSparseBitwiseDense requires the hyper-sparse FTRAN and BTRAN
 // to return bitwise the same vectors as the dense sweeps, on fresh factors
 // and after Forrest-Tomlin updates (so row etas run), with L and U closures
@@ -400,7 +424,9 @@ func TestLUHyperSparseBitwiseDense(t *testing.T) {
 		v := make([]float64, m)
 		dense := make([]float64, m)
 		hyper := make([]float64, m)
-		col := make([]float64, m)
+		// The output vectors are reused, so every solve also clears the
+		// previous result through its pattern.
+		densePat, hyperPat := pattern{all: true}, pattern{all: true}
 		check := func(label string) {
 			for trial := 0; trial < 24; trial++ {
 				k := 1 + rng.Intn(m/(2*luHyperDenom))
@@ -418,12 +444,14 @@ func TestLUHyperSparseBitwiseDense(t *testing.T) {
 					}
 				}
 				scatter()
-				f.ftran(v, dense, nil, false)
+				f.ftran(v, dense, &densePat, nil, false)
 				scatter()
-				f.ftran(v, hyper, nz, false)
+				f.ftran(v, hyper, &hyperPat, nz, false)
 				if i := firstBitDiff(dense, hyper); i >= 0 {
 					t.Fatalf("seed %d %s: hyper ftran[%d] = %v, dense %v", seed, label, i, hyper[i], dense[i])
 				}
+				checkPattern(t, "dense ftran", dense, densePat, false)
+				checkPattern(t, "hyper ftran", hyper, hyperPat, false)
 				if ftranLReach(f, nz)*luHyperDenom < m {
 					smallL++
 				} else {
@@ -441,11 +469,13 @@ func TestLUHyperSparseBitwiseDense(t *testing.T) {
 				}
 
 				scatter()
-				f.btran(v, dense, nil)
-				f.btran(v, hyper, nz)
+				f.btran(v, dense, &densePat, nil)
+				f.btran(v, hyper, &hyperPat, nz)
 				if i := firstBitDiff(dense, hyper); i >= 0 {
 					t.Fatalf("seed %d %s: hyper btran[%d] = %v, dense %v", seed, label, i, hyper[i], dense[i])
 				}
+				checkPattern(t, "dense btran", dense, densePat, true)
+				checkPattern(t, "hyper btran", hyper, hyperPat, true)
 				clear(v)
 				solves++
 				if len(f.rRow) > 0 {
@@ -459,7 +489,8 @@ func TestLUHyperSparseBitwiseDense(t *testing.T) {
 			if inBasis[q] || st.mat.colNNZ(q) == 0 {
 				continue
 			}
-			s.ftranColumn(q, col)
+			s.ftranColumn(q)
+			col := st.col
 			r, best := -1, 1e-3
 			for i := 0; i < m; i++ {
 				if a := math.Abs(col[i]); a > best {
@@ -495,8 +526,7 @@ func TestLUHyperSparseBitwiseDense(t *testing.T) {
 
 // TestOrderClosureMatchesSort checks the stamp scan against the comparison
 // sort it replaces for large closures: identical order for closures on
-// both sides of the m/luHyperDenom switch, keyed by value and through a
-// permutation.
+// both sides of the m/luHyperDenom switch, keyed through a permutation.
 func TestOrderClosureMatchesSort(t *testing.T) {
 	const m = 300
 	rng := rand.New(rand.NewSource(5))
@@ -518,15 +548,13 @@ func TestOrderClosureMatchesSort(t *testing.T) {
 			f.dmark[x] = f.dstamp
 			list = append(list, int32(x))
 		}
-		for _, perm := range []struct{ order, key []int32 }{{nil, nil}, {order, key}} {
-			got := append([]int32(nil), list...)
-			want := append([]int32(nil), list...)
-			f.orderClosure(got, f.dstamp, perm.order, perm.key)
-			sortI32ByKey(want, perm.key)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d (size %d): order[%d] = %d, sort gives %d", trial, size, i, got[i], want[i])
-				}
+		got := append([]int32(nil), list...)
+		want := append([]int32(nil), list...)
+		f.orderClosure(got, f.dstamp, order, key)
+		sortI32ByKey(want, key)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (size %d): order[%d] = %d, sort gives %d", trial, size, i, got[i], want[i])
 			}
 		}
 	}

@@ -304,6 +304,14 @@ type sparseState struct {
 	inBasis  []bool // installColumns' basis membership mark
 	rowFree  []bool
 
+	// Where col, rho and tau may be nonzero. Each LU solve into one of
+	// them clears it through its pattern; bindSparse marks all three
+	// untracked, so the first solve of a bind clears in full. The eta
+	// kernel's dense solves leave them untracked, and loops over them then
+	// walk iota, the positions 0..m-1 (see positions).
+	colPat, rhoPat, tauPat pattern
+	iota                   []int32
+
 	// LU-kernel scratch. rowv is the row-space FTRAN workload vector and
 	// posv the position-space BTRAN seed vector; both are kept all-zero
 	// between uses so the hyper-sparse solves never pay an O(m) clear.
@@ -314,11 +322,38 @@ type sparseState struct {
 	cands  []bfCand // bound-flipping ratio test candidates, a min-heap
 	flips  []int32  // columns flipped by the current BFRT pivot
 
+	// Dual CHUZR state (see pickLeaving): leaveSc[i] is row i's leaving
+	// score, 0 when its basic variable is within its bounds; leaveList
+	// holds the rows with a positive score and leaveAt[i] row i's index in
+	// it, or -1. leaveOK reports whether they describe the iterate.
+	leaveSc   []float64
+	leaveList []int32
+	leaveAt   []int32
+	leaveOK   bool
+
+	// Primal CHUZC state (see price): the candidate columns kept from the
+	// last full pricing scan (candMark[j] == candStamp marks a member; the
+	// scores in cand are only rescanPrice's), and the best (score, column)
+	// key among the eligible columns left out. priceOK reports whether the
+	// set describes the iterate.
+	cand      []priceKey
+	candMark  []int64
+	candStamp int64
+	floorSc   float64
+	floorCol  int
+	priceOK   bool
+
 	// Reused result storage for WithVolatileSolution solves: one Solution
 	// object and one backing array for its three result vectors, recycled
 	// across solves on this workspace instead of allocated per solve.
 	volSol Solution
 	volBuf []float64
+}
+
+// priceKey is one column's devex pricing score.
+type priceKey struct {
+	sc float64
+	j  int32
 }
 
 // bfCand is one bound-flipping dual ratio test candidate: nonbasic column j
@@ -414,6 +449,19 @@ func bindSparse(p *Problem, cfg *options, ws *Workspace) *spx {
 	st.rho = f64(&st.rho, m, false)
 	st.arow = f64(&st.arow, s.nCols, false)
 	st.amark = i64s(&st.amark, s.nCols)
+	st.colPat.all, st.rhoPat.all, st.tauPat.all = true, true, true
+	if cap(st.iota) < m {
+		st.iota = make([]int32, m)
+		for i := range st.iota {
+			st.iota[i] = int32(i)
+		}
+	}
+	st.iota = st.iota[:m]
+	st.leaveSc = f64(&st.leaveSc, m, false)
+	st.leaveAt = i32s(&st.leaveAt, m)
+	st.leaveOK = false
+	st.candMark = i64s(&st.candMark, s.nCols)
+	st.priceOK = false
 	if s.lu {
 		// rowv/posv carry an all-zero invariant between uses; growing them
 		// yields fresh zeroed memory, so only sizing is needed here.
@@ -532,13 +580,16 @@ func (s *spx) columnInto(c int, v []float64) {
 	}
 }
 
-// ftranColumn computes B^-1 times stable column c into v (position space).
-// On the LU kernel the solve is hyper-sparse off the column's own pattern
-// and leaves the partial-FTRAN spike saved for a Forrest-Tomlin update.
-func (s *spx) ftranColumn(c int, v []float64) {
-	a := &s.st.mat
+// ftranColumn computes B^-1 times stable column c into st.col (position
+// space). On the LU kernel the solve is hyper-sparse off the column's own
+// pattern, records the result's pattern in st.colPat and leaves the
+// partial-FTRAN spike saved for a Forrest-Tomlin update; the eta kernel's
+// dense solve leaves st.colPat untracked.
+func (s *spx) ftranColumn(c int) {
+	st := s.st
+	a := &st.mat
+	v := st.col
 	if s.lu {
-		st := s.st
 		w := st.rowv // all-zero; luf.ftran consumes it back to zero
 		nz := st.nzbuf[:0]
 		if c < s.n {
@@ -553,7 +604,7 @@ func (s *spx) ftranColumn(c int, v []float64) {
 			nz = append(nz, i)
 		}
 		st.nzbuf = nz
-		st.luf.ftran(w, v, nz, true)
+		st.luf.ftran(w, v, &st.colPat, nz, true)
 		return
 	}
 	s.columnInto(c, v)
@@ -567,40 +618,58 @@ func (s *spx) ftranColumn(c int, v []float64) {
 	} else if i := c - s.n; a.sigma[i] < 0 {
 		v[i] = -v[i] // sigma^2 = 1: B0^-1 times the logical is e_i
 	}
-	s.st.eta.ftran(v)
+	st.eta.ftran(v)
+	st.colPat.all = true
 }
 
-// btranRow computes rho = B^-T e_r into v: row r of B^-1.
-func (s *spx) btranRow(r int, v []float64) {
+// positions lists where the vector behind pattern p may be nonzero: p's
+// list, or all of 0..m-1 when p is untracked.
+func (st *sparseState) positions(p *pattern) []int32 {
+	if p.all {
+		return st.iota
+	}
+	return p.nz
+}
+
+// btranRow computes rho = B^-T e_r into st.rho, row r of B^-1. On the LU
+// kernel st.rhoPat lists its nonzero rows in ascending order; the eta
+// kernel's dense solve leaves it untracked.
+func (s *spx) btranRow(r int) {
+	st := s.st
 	if s.lu {
-		st := s.st
 		st.posv[r] = 1
 		st.nzbuf = append(st.nzbuf[:0], int32(r))
-		st.luf.btran(st.posv, v, st.nzbuf)
+		st.luf.btran(st.posv, st.rho, &st.rhoPat, st.nzbuf)
 		st.posv[r] = 0 // restore the all-zero invariant
 		return
 	}
+	v := st.rho
 	clear(v)
 	v[r] = 1
-	s.st.eta.btran(v)
-	a := &s.st.mat
+	st.eta.btran(v)
+	a := &st.mat
 	for i := 0; i < s.m; i++ {
 		if a.sigma[i] < 0 {
 			v[i] = -v[i]
 		}
 	}
+	st.rhoPat.all = true
 }
 
 // pivotRowInto scatters alpha_row = rho^T [A | logicals] into st.arow,
 // recording touched columns in st.atouch. Only touched columns can have a
-// nonzero pivot-row entry; everything else is implicitly zero.
-func (s *spx) pivotRowInto(rho []float64) {
+// nonzero pivot-row entry; everything else is implicitly zero. It walks
+// rho's nonzero rows in ascending order (st.rhoPat, or every row on the eta
+// kernel), so every arow sum adds its terms in row order.
+func (s *spx) pivotRowInto() {
 	st := s.st
 	a := &st.mat
+	rho := st.rho
 	st.astamp++
 	stamp := st.astamp
 	st.atouch = st.atouch[:0]
-	for i := 0; i < s.m; i++ {
+	for _, i32 := range st.positions(&st.rhoPat) {
+		i := int(i32)
 		ri := rho[i]
 		if ri == 0 || math.Abs(ri) < etaDropTol {
 			continue
@@ -680,7 +749,7 @@ func (s *spx) installColumns(target []int32) bool {
 		if inBasis[c] {
 			continue
 		}
-		s.ftranColumn(c, st.col)
+		s.ftranColumn(c)
 		best, bestAbs := -1, 1e-8
 		for i := 0; i < s.m; i++ {
 			if !rowFree[i] {
@@ -850,9 +919,11 @@ func (s *spx) renumber() bool {
 }
 
 // computeX sets nonbasic variables to their bound values and solves
-// B x_B = b - A_N x_N for the basic values.
+// B x_B = b - A_N x_N for the basic values. Every basic value may move, so
+// the maintained leaving-row scores are rebuilt at the next pickLeaving.
 func (s *spx) computeX() {
 	st := s.st
+	st.leaveOK = false
 	a := &st.mat
 	v := st.col
 	for i := 0; i < s.m; i++ {
@@ -883,7 +954,7 @@ func (s *spx) computeX() {
 		// v is a true row-space right-hand side; the LU factors carry the
 		// logical signs themselves, so no B0 scaling applies. The solve is
 		// dense (the RHS generally is), consuming v back to zero.
-		st.luf.ftran(v, st.rho, nil, false)
+		st.luf.ftran(v, st.rho, &st.rhoPat, nil, false)
 		for i := 0; i < s.m; i++ {
 			st.x[st.basis[i]] = st.rho[i]
 		}
@@ -894,6 +965,7 @@ func (s *spx) computeX() {
 			v[i] = -v[i]
 		}
 	}
+	st.colPat.all = true // v is st.col and keeps the basic values
 	st.eta.ftran(v)
 	for i := 0; i < s.m; i++ {
 		st.x[st.basis[i]] = v[i]
@@ -901,20 +973,24 @@ func (s *spx) computeX() {
 }
 
 // computeD recomputes the reduced costs d = c - c_B^T B^-1 A from the
-// current factorization.
+// current factorization. Every reduced cost may move, so the primal price
+// rescans at its next call.
 func (s *spx) computeD() {
 	st := s.st
+	st.priceOK = false
 	a := &st.mat
 	y := st.rho
 	if s.lu {
 		// Position-space basic costs in, true row-space duals out; the LU
 		// factors include the logical signs, so no B0 scaling applies.
 		cb := st.col
+		st.colPat.all = true
 		for i := 0; i < s.m; i++ {
 			cb[i] = st.cost[st.basis[i]]
 		}
-		st.luf.btran(cb, y, nil)
+		st.luf.btran(cb, y, &st.rhoPat, nil)
 	} else {
+		st.rhoPat.all = true
 		for i := 0; i < s.m; i++ {
 			y[i] = st.cost[st.basis[i]]
 		}

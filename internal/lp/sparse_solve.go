@@ -8,6 +8,30 @@ package lp
 
 import "math"
 
+// scanCheck is a test hook, nil in production. When set, every sparse
+// simplex pivot reports its choices and state to it at the points below,
+// and the checker reruns the full 0..m and 0..n+m scans that the maintained
+// lists and nonzero patterns replace, failing on any difference. The hook
+// must be set before the solves it checks start.
+var scanCheck pivotChecker
+
+type pivotChecker interface {
+	// leaving reports the dual CHUZR choice (row -1: optimal).
+	leaving(s *spx, row int, below bool)
+	// entering reports the primal CHUZC choice (col -1: optimal).
+	entering(s *spx, col, dir int)
+	// ratio reports the primal ratio test over the sorted column pattern.
+	ratio(s *spx, q, dir int, t float64, row int, atUpper, ok bool)
+	// pivotRow runs after pivotRowInto has scattered st.arow.
+	pivotRow(s *spx)
+	// pivot runs once a pivot's choices stand and before its updates.
+	pivot(s *spx)
+	// dualDone and primalDone run after a pivot's updates, before its
+	// factorization update; row -1 is a primal bound flip.
+	dualDone(s *spx, r, q int, piv float64, below bool)
+	primalDone(s *spx, q, r, dir int, t float64)
+}
+
 // sparseWarmSolve attempts a dual-simplex solve of p from basis b using the
 // workspace's sparse state. ok=false means nothing conclusive happened and
 // the caller falls through to the cold path; ok=true returns a proven
@@ -159,13 +183,14 @@ func (s *spx) rebind() bool {
 	}
 	if moved {
 		if s.lu {
-			st.luf.ftran(v, st.rho, nil, false)
-			for i := 0; i < s.m; i++ {
+			st.luf.ftran(v, st.rho, &st.rhoPat, nil, false)
+			for _, i := range st.positions(&st.rhoPat) {
 				if st.rho[i] != 0 {
 					st.x[st.basis[i]] -= st.rho[i]
 				}
 			}
 		} else {
+			st.colPat.all = true // v is st.col and keeps the solve's result
 			for i := 0; i < s.m; i++ {
 				if a.sigma[i] < 0 {
 					v[i] = -v[i]
@@ -227,33 +252,95 @@ func (s *spx) dualFeasible() bool {
 
 // pickLeaving selects the leaving basic variable among those violating a
 // bound, or row -1 when the basis is primal feasible (optimal, since dual
-// feasibility is invariant). The LU kernel prices by dual steepest edge,
-// maximizing violation^2/dseW[i]; the eta kernel, whose refactorizations
-// permute basis positions, keeps Dantzig's largest violation.
+// feasibility is invariant): the row with the largest leaveScore, ties to
+// the lowest row index. The scores and the list of violated rows are
+// maintained across pivots (see setLeave), so a pick costs the number of
+// violated rows, not m; they are rebuilt in one m scan at a solve's start,
+// after computeX and a steepest-edge reset, and after every eta-kernel
+// pivot, whose dense column has no pattern to rescore from.
 func (s *spx) pickLeaving() (row int, below bool) {
 	st := s.st
 	row = -1
 	best := 0.0
-	for i := 0; i < s.m; i++ {
-		b := st.basis[i]
-		xb := st.x[b]
-		var v float64
-		var lower bool
-		if lo := st.lo[b]; lo-xb > s.feasTol(lo) {
-			v, lower = lo-xb, true
-		} else if up := st.up[b]; !math.IsInf(up, 1) && xb-up > s.feasTol(up) {
-			v = xb - up
-		} else {
-			continue
+	if st.leaveOK {
+		for _, i32 := range st.leaveList {
+			i := int(i32)
+			if sc := st.leaveSc[i]; sc > best || (sc == best && i < row) {
+				best, row = sc, i
+			}
 		}
-		if s.lu {
-			v = v * v / st.dseW[i]
+	} else {
+		// Rebuild, picking on the way: ascending rows, so the first best
+		// wins ties.
+		list := st.leaveList[:0]
+		for i := 0; i < s.m; i++ {
+			sc := s.leaveScore(i)
+			st.leaveSc[i] = sc
+			st.leaveAt[i] = -1
+			if sc > 0 {
+				st.leaveAt[i] = int32(len(list))
+				list = append(list, int32(i))
+				if sc > best {
+					best, row = sc, i
+				}
+			}
 		}
-		if v > best {
-			best, row, below = v, i, lower
-		}
+		st.leaveList = list
+		st.leaveOK = true
+	}
+	if row >= 0 {
+		b := st.basis[row]
+		lo := st.lo[b]
+		below = lo-st.x[b] > s.feasTol(lo)
 	}
 	return row, below
+}
+
+// leaveScore is basis row i's dual pricing score: its basic variable's
+// bound violation, squared over the row's dual steepest-edge weight on the
+// LU kernel (the eta kernel, whose refactorizations permute basis
+// positions, keeps Dantzig's plain violation), or 0 within tolerance.
+func (s *spx) leaveScore(i int) float64 {
+	st := s.st
+	b := st.basis[i]
+	v := st.lo[b] - st.x[b]
+	if !(v > s.feasTol(st.lo[b])) {
+		// An infinite upper bound never counts: x - Inf is not above
+		// feasTol(Inf) = Inf.
+		v = st.x[b] - st.up[b]
+		if !(v > s.feasTol(st.up[b])) {
+			return 0
+		}
+	}
+	if s.lu {
+		v = v * v / st.dseW[i]
+	}
+	return v
+}
+
+// setLeave rescores row i and updates its membership in the list of
+// violated rows. A dual pivot calls it for every row whose basic value,
+// basic variable or weight it changed: the entering column's FTRAN pattern,
+// the bound-flip FTRAN's pattern and the pivot row.
+func (s *spx) setLeave(i int32) {
+	st := s.st
+	sc := s.leaveScore(int(i))
+	st.leaveSc[i] = sc
+	at := st.leaveAt[i]
+	if sc > 0 {
+		if at < 0 {
+			st.leaveAt[i] = int32(len(st.leaveList))
+			st.leaveList = append(st.leaveList, i)
+		}
+		return
+	}
+	if at >= 0 {
+		last := st.leaveList[len(st.leaveList)-1]
+		st.leaveList[at] = last
+		st.leaveAt[last] = at
+		st.leaveList = st.leaveList[:len(st.leaveList)-1]
+		st.leaveAt[i] = -1
+	}
 }
 
 // resetDSE restarts the dual steepest-edge weights at 1 unless they already
@@ -263,6 +350,7 @@ func (s *spx) resetDSE() {
 	if st.dseOK {
 		return
 	}
+	st.leaveOK = false
 	w := st.dseW[:s.m]
 	for i := range w {
 		w[i] = 1
@@ -281,23 +369,27 @@ func (s *spx) resetDSE() {
 //
 // floored at dseMinWeight, while the pivot position takes w_r/alpha_r^2 for
 // the entering column. The FTRAN saves no spike, so the entering column's
-// spike survives for the Forrest-Tomlin update.
+// spike survives for the Forrest-Tomlin update. Both loops walk nonzero
+// patterns: rho's in ascending row order, so wr sums as a 0..m scan would,
+// and alpha's in any order, since each weight updates independently.
 func (s *spx) dseUpdate(r int, piv float64) {
 	st := s.st
 	v := st.rowv // all-zero between calls; ftran consumes it back to zero
 	nz := st.nzbuf[:0]
 	wr := 0.0
-	for i, x := range st.rho[:s.m] {
-		if x != 0 {
+	for _, i := range st.positions(&st.rhoPat) {
+		if x := st.rho[i]; x != 0 {
 			wr += x * x
 			v[i] = x
-			nz = append(nz, int32(i))
+			nz = append(nz, i)
 		}
 	}
 	st.nzbuf = nz
-	st.luf.ftran(v, st.tau, nz, false)
+	st.luf.ftran(v, st.tau, &st.tauPat, nz, false)
 	w := st.dseW
-	for i, a := range st.col[:s.m] {
+	for _, i32 := range st.positions(&st.colPat) {
+		i := int(i32)
+		a := st.col[i]
 		if a == 0 || i == r {
 			continue
 		}
@@ -589,8 +681,8 @@ func (s *spx) applyBoundFlips() {
 	st.nzbuf = nz
 	s.boundFlips += len(st.flips)
 	st.flips = st.flips[:0]
-	st.luf.ftran(w, st.rho, nz, false)
-	for i := 0; i < s.m; i++ {
+	st.luf.ftran(w, st.rho, &st.rhoPat, nz, false)
+	for _, i := range st.positions(&st.rhoPat) {
 		if st.rho[i] != 0 {
 			st.x[st.basis[i]] -= st.rho[i]
 		}
@@ -606,6 +698,7 @@ func (s *spx) dualIterate() Status {
 	if s.lu {
 		s.resetDSE()
 	}
+	st.leaveOK = false // bounds and basic values may have moved since the last solve
 	justRefactored := false
 	for {
 		if s.iterations >= s.cfg.maxIterations {
@@ -617,11 +710,17 @@ func (s *spx) dualIterate() Status {
 			return StatusIterationLimit
 		}
 		r, below := s.pickLeaving()
+		if scanCheck != nil {
+			scanCheck.leaving(s, r, below)
+		}
 		if r < 0 {
 			return StatusOptimal
 		}
-		s.btranRow(r, st.rho)
-		s.pivotRowInto(st.rho)
+		s.btranRow(r)
+		s.pivotRowInto()
+		if scanCheck != nil {
+			scanCheck.pivotRow(s)
+		}
 		var q int
 		if s.lu && !s.useBland {
 			q = s.pickEnteringBFRT(r, below)
@@ -631,7 +730,7 @@ func (s *spx) dualIterate() Status {
 		if q < 0 {
 			return StatusInfeasible
 		}
-		s.ftranColumn(q, st.col)
+		s.ftranColumn(q)
 		piv := st.col[r]
 		// The row (BTRAN) and column (FTRAN) views of the pivot element must
 		// agree; drift past the tolerance means the factorization has
@@ -652,6 +751,9 @@ func (s *spx) dualIterate() Status {
 			continue
 		}
 		justRefactored = false
+		if scanCheck != nil {
+			scanCheck.pivot(s)
+		}
 		if s.lu {
 			// Before the flips below, whose FTRAN overwrites st.rho.
 			s.dseUpdate(r, piv)
@@ -662,7 +764,8 @@ func (s *spx) dualIterate() Status {
 		// FTRAN does not save a spike, so the entering column's spike from
 		// ftranColumn above survives for the Forrest-Tomlin update below.
 		// Flips move x but not B, so the steepest-edge weights stand.
-		if len(st.flips) > 0 {
+		flipped := len(st.flips) > 0
+		if flipped {
 			s.applyBoundFlips()
 		}
 		s.iterations++
@@ -682,7 +785,8 @@ func (s *spx) dualIterate() Status {
 		}
 		delta := (st.x[leave] - bound) / piv
 		if delta != 0 {
-			for i := 0; i < s.m; i++ {
+			for _, i32 := range st.positions(&st.colPat) {
+				i := int(i32)
 				if i == r {
 					continue
 				}
@@ -706,6 +810,23 @@ func (s *spx) dualIterate() Status {
 		st.d[q] = 0
 		st.basis[r] = q
 		st.stat[q] = statusBasic
+		if st.leaveOK && !st.colPat.all {
+			for _, i := range st.colPat.nz {
+				s.setLeave(i)
+			}
+			if flipped {
+				for _, i := range st.rhoPat.nz {
+					s.setLeave(i)
+				}
+			}
+			s.setLeave(int32(r))
+		} else {
+			// The eta kernel's dense column has no pattern: rescan.
+			st.leaveOK = false
+		}
+		if scanCheck != nil {
+			scanCheck.dualDone(s, r, q, piv, below)
+		}
 		if !s.recordPivot(st.col, r) {
 			return statusAbort
 		}
@@ -722,6 +843,7 @@ func (s *spx) initDevex() {
 	for j := range w {
 		w[j] = 1
 	}
+	s.st.priceOK = false
 }
 
 // resetDevex restarts the reference framework after the weights blow up.
@@ -730,47 +852,185 @@ func (s *spx) resetDevex() {
 	s.devexResets++
 }
 
+// priceCandMax is the number of columns a full pricing scan keeps as
+// candidates, and priceCandCap the size past which a set grown by pivots is
+// dropped for a fresh scan. Measured on the seed-1 MaxUtility solves at
+// one worker: with 16 candidates the 350x280 mid solve rescans on 28 of
+// its 729 picks (solve entries included) and the 1500x300 scale solve on
+// 2,639 of 44,306; 8 candidates take 43 and 5,006 rescans, and 32 save a
+// third of the scale rescans but double every pick's scoring.
+const (
+	priceCandMax = 16
+	priceCandCap = 64
+)
+
 // price selects the entering column by devex score d^2/w among eligible
-// nonbasic columns (Bland's smallest-index rule under anti-cycling), with
-// the same eligibility conditions as the dense pricing.
+// nonbasic columns (see priceScore), the largest score winning with ties to
+// the lowest column index, or Bland's smallest eligible index under
+// anti-cycling.
+//
+// The choice is exactly a full scan's, but a pick usually costs only a few
+// dozen scores. A full scan (rescanPrice) keeps the priceCandMax best
+// columns as candidates and records the best (score, column) key among the
+// eligible columns it left out, the floor. A pivot rescores only the
+// columns whose score it can change (priceTouch: the pivot row's touched
+// columns, the entering and the leaving column) and adds to the candidates
+// any whose key now beats the floor, so no column outside the set ever
+// beats it. The best candidate is then the overall best as long as its key
+// beats the floor; otherwise, and at a solve's start, after a devex reset
+// or a reduced-cost recomputation, price rescans.
 func (s *spx) price() (col, dir int) {
-	eps := s.cfg.tolerance
 	st := s.st
-	col, dir = -1, 0
-	bestScore := 0.0
-	for j := 0; j < s.nCols; j++ {
-		if st.lo[j] == st.up[j] {
-			continue
+	col = -1
+	switch {
+	case s.useBland:
+		// Devex weights are at least 1, so a column is eligible exactly
+		// when its score is positive.
+		for j := 0; j < s.nCols && col < 0; j++ {
+			if s.priceScore(j) > 0 {
+				col = j
+			}
 		}
-		switch st.stat[j] {
-		case statusBasic:
-			continue
-		case statusLower:
-			if st.d[j] > eps {
-				if s.useBland {
-					return j, 1
-				}
-				if sc := st.d[j] * st.d[j] / st.devexW[j]; sc > bestScore {
-					bestScore, col, dir = sc, j, 1
-				}
-			}
-		case statusUpper:
-			if st.d[j] < -eps {
-				if s.useBland {
-					return j, -1
-				}
-				if sc := st.d[j] * st.d[j] / st.devexW[j]; sc > bestScore {
-					bestScore, col, dir = sc, j, -1
-				}
-			}
+	case st.priceOK:
+		col = s.bestCand()
+	}
+	if col < 0 && !s.useBland {
+		s.rescanPrice()
+		col = s.bestCand()
+	}
+	if col < 0 {
+		return -1, 0
+	}
+	if st.stat[col] == statusLower {
+		return col, 1
+	}
+	return col, -1
+}
+
+// priceScore is column j's devex score d_j^2/w_j when it is eligible to
+// enter (not fixed, nonbasic, and its reduced cost improves the objective
+// past the tolerance), else 0.
+func (s *spx) priceScore(j int) float64 {
+	st := s.st
+	if st.lo[j] == st.up[j] {
+		return 0
+	}
+	d := st.d[j]
+	switch st.stat[j] {
+	case statusLower:
+		if d > s.cfg.tolerance {
+			return d * d / st.devexW[j]
+		}
+	case statusUpper:
+		if d < -s.cfg.tolerance {
+			return d * d / st.devexW[j]
 		}
 	}
-	return col, dir
+	return 0
+}
+
+// keyAbove orders pricing keys: the larger score first, then the lower
+// column index.
+func keyAbove(sc float64, j int, sc2 float64, j2 int) bool {
+	return sc > sc2 || (sc == sc2 && j < j2)
+}
+
+// bestCand returns the best current candidate when its key beats the
+// floor, else -1 (the set cannot prove it the overall best, or is empty).
+func (s *spx) bestCand() int {
+	st := s.st
+	best, bestSc := -1, 0.0
+	for _, c := range st.cand {
+		j := int(c.j)
+		if sc := s.priceScore(j); sc > 0 && (best < 0 || keyAbove(sc, j, bestSc, best)) {
+			best, bestSc = j, sc
+		}
+	}
+	if best < 0 || !keyAbove(bestSc, best, st.floorSc, st.floorCol) {
+		return -1
+	}
+	return best
+}
+
+// rescanPrice scores every column and keeps the priceCandMax best as the
+// candidate set, selected through a min-heap of the kept keys, with the
+// best key left out as the floor (score 0 when every eligible column is
+// kept).
+func (s *spx) rescanPrice() {
+	st := s.st
+	heap := st.cand[:0]
+	st.floorSc, st.floorCol = 0, s.nCols
+	lower := func(x, y priceKey) bool { return keyAbove(y.sc, int(y.j), x.sc, int(x.j)) }
+	for j := 0; j < s.nCols; j++ {
+		sc := s.priceScore(j)
+		if !(sc > 0) {
+			continue
+		}
+		c := priceKey{sc: sc, j: int32(j)}
+		if len(heap) < priceCandMax {
+			heap = append(heap, c)
+			for k := len(heap) - 1; k > 0; { // sift up
+				p := (k - 1) / 2
+				if !lower(heap[k], heap[p]) {
+					break
+				}
+				heap[k], heap[p] = heap[p], heap[k]
+				k = p
+			}
+			continue
+		}
+		out := c
+		if lower(heap[0], c) {
+			out, heap[0] = heap[0], c
+			for k := 0; ; { // sift down
+				l := 2*k + 1
+				if l >= len(heap) {
+					break
+				}
+				if l+1 < len(heap) && lower(heap[l+1], heap[l]) {
+					l++
+				}
+				if !lower(heap[l], heap[k]) {
+					break
+				}
+				heap[k], heap[l] = heap[l], heap[k]
+				k = l
+			}
+		}
+		if keyAbove(out.sc, int(out.j), st.floorSc, st.floorCol) {
+			st.floorSc, st.floorCol = out.sc, int(out.j)
+		}
+	}
+	st.cand = heap
+	st.candStamp++
+	for _, c := range heap {
+		st.candMark[c.j] = st.candStamp
+	}
+	st.priceOK = true
+}
+
+// priceTouch rescores column j after a pivot changed its reduced cost,
+// weight or status, and adds it to the candidates when its key beats the
+// floor. A set grown past priceCandCap is dropped for a fresh scan.
+func (s *spx) priceTouch(j int) {
+	st := s.st
+	if !st.priceOK || st.candMark[j] == st.candStamp {
+		return
+	}
+	if sc := s.priceScore(j); sc > 0 && keyAbove(sc, j, st.floorSc, st.floorCol) {
+		st.candMark[j] = st.candStamp
+		st.cand = append(st.cand, priceKey{sc: sc, j: int32(j)})
+		if len(st.cand) > priceCandCap {
+			st.priceOK = false
+		}
+	}
 }
 
 // sparseRatioTest computes the maximum primal step for the FTRANed entering
 // column in st.col, with the dense ratioTest's semantics (bound flips,
-// largest-pivot tie-break) translated to unshifted bounds.
+// largest-pivot tie-break) translated to unshifted bounds. It walks the
+// column's nonzero pattern in ascending position order, which the tie rule
+// depends on, so the caller sorts st.colPat first.
 func (s *spx) sparseRatioTest(q, dir int) (t float64, pivotRow int, leavesAtUpper, ok bool) {
 	const pivTol = 1e-9
 	eps := s.cfg.tolerance
@@ -778,7 +1038,8 @@ func (s *spx) sparseRatioTest(q, dir int) (t float64, pivotRow int, leavesAtUppe
 
 	t = st.up[q] - st.lo[q] // bound-flip step; may be +Inf
 	pivotRow = -1
-	for i := 0; i < s.m; i++ {
+	for _, i32 := range st.positions(&st.colPat) {
+		i := int(i32)
 		a := float64(dir) * st.col[i]
 		if a > pivTol {
 			b := st.basis[i]
@@ -856,6 +1117,7 @@ func (s *spx) devexUpdate(q, r int, piv float64) {
 func (s *spx) primalIterate() Status {
 	eps := s.cfg.tolerance
 	st := s.st
+	st.priceOK = false // reduced costs and weights may have moved since the last solve
 	for {
 		if s.iterations >= s.cfg.maxIterations {
 			return StatusIterationLimit
@@ -864,13 +1126,23 @@ func (s *spx) primalIterate() Status {
 			return StatusIterationLimit
 		}
 		q, dir := s.price()
+		if scanCheck != nil {
+			scanCheck.entering(s, q, dir)
+		}
 		if q < 0 {
 			return StatusOptimal
 		}
-		s.ftranColumn(q, st.col)
+		s.ftranColumn(q)
+		st.colPat.sortPattern(st.col)
 		t, pivotRow, leavesAtUpper, ok := s.sparseRatioTest(q, dir)
+		if scanCheck != nil {
+			scanCheck.ratio(s, q, dir, t, pivotRow, leavesAtUpper, ok)
+		}
 		if !ok {
 			return StatusUnbounded
+		}
+		if scanCheck != nil {
+			scanCheck.pivot(s)
 		}
 		s.iterations++
 		if t <= eps {
@@ -884,7 +1156,7 @@ func (s *spx) primalIterate() Status {
 
 		if t > 0 {
 			st.x[q] += float64(dir) * t
-			for i := 0; i < s.m; i++ {
+			for _, i := range st.positions(&st.colPat) {
 				if a := st.col[i]; a != 0 {
 					st.x[st.basis[i]] -= float64(dir) * t * a
 				}
@@ -899,13 +1171,20 @@ func (s *spx) primalIterate() Status {
 				st.stat[q] = statusLower
 				st.x[q] = st.lo[q]
 			}
+			s.priceTouch(q)
+			if scanCheck != nil {
+				scanCheck.primalDone(s, q, -1, dir, t)
+			}
 			continue
 		}
 
 		r := pivotRow
 		piv := st.col[r]
-		s.btranRow(r, st.rho)
-		s.pivotRowInto(st.rho)
+		s.btranRow(r)
+		s.pivotRowInto()
+		if scanCheck != nil {
+			scanCheck.pivotRow(s)
+		}
 		s.devexUpdate(q, r, piv)
 		if f := st.d[q] / piv; f != 0 {
 			for _, j32 := range st.atouch {
@@ -923,6 +1202,14 @@ func (s *spx) primalIterate() Status {
 		}
 		st.basis[r] = q
 		st.stat[q] = statusBasic
+		for _, j32 := range st.atouch {
+			s.priceTouch(int(j32))
+		}
+		s.priceTouch(q)
+		s.priceTouch(leave)
+		if scanCheck != nil {
+			scanCheck.primalDone(s, q, r, dir, t)
+		}
 		if !s.recordPivot(st.col, r) {
 			return statusAbort
 		}

@@ -206,7 +206,7 @@ func factorizeDependentPair(t *testing.T, p *Problem, eps float64) int {
 		want[i] = v[i]
 	}
 	out := make([]float64, m)
-	s.st.luf.ftran(v, out, nil, false)
+	s.st.luf.ftran(v, out, &pattern{all: true}, nil, false)
 	scale := 1.0
 	for _, x := range out {
 		if a := math.Abs(x); a > scale {
