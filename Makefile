@@ -84,18 +84,19 @@ search-equivalence:
 	$(GO) test ./internal/core -run 'TestParallelEquiv|TestFeatureEquiv|TestEntryPointSettings' -cpu 1,2 -count=1
 
 # Sparse-vs-dense kernel cross-check: every solver feature mode under both
-# simplex kernels and worker counts {1,4}, the counter plumbing, the pinned
-# pivot counts (LU dual and primal roots, dives and trees, the eta primal
-# phase, and the warm-dual MaxUtilityWarm chains of
-# TestLUKernelCountersPinnedWarmChain), plus the kernel-alternating-workspace
-# regression tests, the auto dispatch's start-shape and no-flip checks,
-# the dual steepest-edge weight checks, the bit-identity guards of the
-# ratio test and the hyper-sparse solves, and the full-scan pivot
-# cross-check (TestScanCheck: every pivot's leaving row, entering column,
+# sparse kernels and worker counts {1,4} against the dense tableau oracle,
+# whose side runs cold (TestDenseKernelRunsCold checks it never warm-starts),
+# the counter plumbing, the pinned pivot counts (LU dual and primal roots,
+# dives and trees, the eta primal phase, the golden E3 and E7 trees, and the
+# warm-dual MaxUtilityWarm chains of TestLUKernelCountersPinnedWarmChain),
+# plus the kernel-alternating-workspace regression tests, the auto
+# dispatch's start-shape and no-flip checks, the dual steepest-edge weight
+# checks, the bit-identity guards of the ratio test and the hyper-sparse
+# solves, and the full-scan pivot cross-check (TestScanCheck: every pivot's leaving row, entering column,
 # pivot row, x, d and weights against the 0..m and 0..n+m scans the
 # maintained lists and nonzero patterns replace) in internal/lp.
 kernel-equivalence:
-	$(GO) test ./internal/core -run 'TestKernelEquivalence|TestKernelCounters|TestLUKernelCountersPinned|TestLUKernelCountersPinnedWarmChain' -count=1
+	$(GO) test ./internal/core -run 'TestKernelEquivalence|TestKernelCounters|TestLUKernelCountersPinned|TestLUKernelCountersPinnedWarmChain|TestDenseKernelRunsCold' -count=1
 	$(GO) test ./internal/lp -run 'TestSparse|TestWorkspaceKernelAlternation|TestAutoKernel|TestDSE|TestBFRT|TestLUHyperSparse|TestOrderClosure|TestScanCheck' -count=1
 
 # Warm-shared sweep equivalence lane: ParetoSweepWarm must report bit-equal
@@ -228,10 +229,11 @@ state-smoke:
 	echo "state-smoke: ok"
 	@rm -rf secmon-smoke state-smoke.dir state-smoke.log
 
-# Regenerate the E1-E8 golden artifacts and the campaign-replay goldens
-# after an intentional output change.
+# Regenerate the E1-E8 golden artifacts, the certificate golden and the
+# campaign-replay goldens after an intentional output change.
 golden-update:
 	$(GO) test ./internal/experiment -run TestGoldenArtifacts -update -count=1
+	$(GO) test ./internal/certify -run TestGoldenCertificate -update -count=1
 	$(GO) test ./internal/campaign -run TestGoldenCampaigns -update -count=1
 
 # Campaign-replay smoke: the seeded golden scenarios plus an end-to-end CLI

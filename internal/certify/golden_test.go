@@ -22,8 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden certificate")
 const goldenPath = "testdata/golden/knapsack-cert.json"
 
 // goldenProblem is a fixed fractional knapsack whose search tree — and
-// therefore whose emitted certificate — is deterministic under the pinned
-// solver configuration.
+// therefore whose emitted certificate — is deterministic at one worker.
 func goldenProblem(t *testing.T) *ilp.Problem {
 	t.Helper()
 	p := ilp.NewProblem(lp.Maximize)
@@ -44,17 +43,13 @@ func goldenProblem(t *testing.T) *ilp.Problem {
 }
 
 // TestGoldenCertificate pins the certificate JSON schema byte-for-byte,
-// following the E1–E8 golden flow: GOMAXPROCS(1), the dense oracle kernel,
-// and the face dive disabled, so the tree (and every float in the proof) is
-// reproducible. Certificates carry no wall-clock content, so no scrubbing
-// beyond the pinning is needed.
+// following the E1–E8 golden flow: GOMAXPROCS(1) and the default solver
+// configuration (auto kernel, face dive on), so the tree (and every float in
+// the proof) is reproducible on the path production runs. Certificates carry
+// no wall-clock content, so no scrubbing is needed.
 func TestGoldenCertificate(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	prevKernel := lp.SetDefaultKernel(lp.KernelDense)
-	defer lp.SetDefaultKernel(prevKernel)
-	prevDive := ilp.SetFaceDive(false)
-	defer ilp.SetFaceDive(prevDive)
 
 	sol, err := goldenProblem(t).Solve(ilp.WithCertificate(), ilp.WithWorkers(1))
 	if err != nil {

@@ -308,13 +308,15 @@ func WithWorkers(n int) Option {
 }
 
 // WithKernel selects the LP simplex kernel for every relaxation solve.
-// lp.KernelAuto (the zero value) defers to the solver default (sparse).
+// lp.KernelAuto (the zero value) pins none and leaves the choice to auto
+// dispatch.
 func WithKernel(k lp.Kernel) Option {
 	return optionFunc(func(o *options) { o.kernel = k })
 }
 
 // WithDenseKernel routes every LP relaxation to the dense tableau kernel,
-// the correctness oracle for the default sparse revised simplex.
+// the correctness oracle for the default sparse revised simplex. The dense
+// kernel solves every relaxation cold.
 func WithDenseKernel() Option { return WithKernel(lp.KernelDense) }
 
 // WithContext attaches ctx to every solve the optimizer runs. Cancellation
@@ -647,9 +649,9 @@ func (o *Optimizer) objective(spec formulationSpec) func(*model.Deployment) floa
 	case kindCost:
 		return o.Cost
 	case kindWeighted:
-		w := spec.weights
+		w, k := spec.weights, o.corroborationLevel()
 		return func(d *model.Deployment) float64 {
-			return w.Utility*metrics.Utility(o.idx, d) + w.Richness*metrics.Richness(o.idx, d) +
+			return w.Utility*metrics.CorroboratedUtility(o.idx, d, k) + w.Richness*corroboratedRichness(o.idx, d, k) +
 				w.Redundancy*metrics.MeanRedundancy(o.idx, d)
 		}
 	case kindExpected:

@@ -214,10 +214,10 @@ func (f *formulation) appendProducers(terms []lp.Term, producers []model.Monitor
 // z variables carry the utility share (and, for a weighted objective, the
 // richness share) of the objective.
 func (o *Optimizer) addCompactCoverage(prob *ilp.Problem, f *formulation, spec formulationSpec, contrib map[model.DataTypeID]float64) error {
-	var fieldShare map[model.DataTypeID]float64
+	var fields map[model.DataTypeID]int
 	totalFields := 0
 	if spec.kind == kindWeighted {
-		fieldShare, totalFields = richnessShares(o.idx, contrib)
+		fields, totalFields = richnessFields(o.idx, contrib)
 	}
 	k := o.corroborationLevel()
 	if spec.kind == kindEarliness {
@@ -237,7 +237,7 @@ func (o *Optimizer) addCompactCoverage(prob *ilp.Problem, f *formulation, spec f
 		case kindWeighted:
 			obj = spec.weights.Utility * share
 			if totalFields > 0 {
-				obj += spec.weights.Richness * fieldShare[d]
+				obj += spec.weights.Richness * (float64(fields[d]) / float64(totalFields))
 			}
 		case kindEarliness:
 			obj = spec.weights.Utility * share

@@ -219,6 +219,13 @@ func synthIndex(t *testing.T, cfg synth.Config) *model.Index {
 // small-maxutil-auto row is a small-class MaxUtility solve, which starts
 // primal feasible below luAutoMinDim and so runs the eta kernel's primal
 // phase; both kernels share the primal pricing.
+//
+// The e3-maxutil and e7-sweep-200 rows pin the search trees of the golden
+// artifacts, whose node and LP-iteration columns the golden comparison
+// scrubs: the E3 case study at 10% and 25% budget and the E7 monitor-sweep
+// point at 200 monitors (seed 1200, 100 attacks, 30% budget), each in the
+// default configuration at one worker. All three start primal feasible
+// below luAutoMinDim, so auto dispatch runs them on the eta kernel.
 func TestLUKernelCountersPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("pinned pivot counts were recorded on amd64")
@@ -227,6 +234,8 @@ func TestLUKernelCountersPinned(t *testing.T) {
 	scale := synth.Config{Seed: 7919, Monitors: 1500, Attacks: 300, Segments: 30}
 	mid := func(seed int64) synth.Config { return synth.Config{Seed: seed, Monitors: 350, Attacks: 280} }
 	small := synth.Config{Seed: 1, Monitors: 40, Attacks: 40}
+	e7Sweep200 := synth.Config{Seed: 1200, Monitors: 200, Attacks: 100}
+	caseStudy := synth.Config{} // the zero config stands for the case study
 	indexes := map[synth.Config]*model.Index{}
 	for _, c := range []struct {
 		name                         string
@@ -249,10 +258,20 @@ func TestLUKernelCountersPinned(t *testing.T) {
 		{"scale-maxutil", scale, false, false, false, 0.22, 0.98374527717755289, 68180, 17701, 33365, 6597},
 		{"small-mincost-auto", small, false, false, true, 0.8, 750.3500000000001, 52, 62, 52, 1},
 		{"small-maxutil-auto", small, false, true, false, 0.4, 0.9772822580645161, 84, 0, 0, 1},
+		{"e3-maxutil-10", caseStudy, false, true, false, 0.10, 0.4022837332159365, 1167, 0, 0, 267},
+		{"e3-maxutil-25", caseStudy, false, true, false, 0.25, 0.6810862865947612, 1041, 0, 0, 256},
+		{"e7-sweep-200", e7Sweep200, false, true, false, 0.3, 0.9948901404133864, 8545, 0, 0, 1215},
 	} {
 		idx := indexes[c.sys]
 		if idx == nil {
-			idx = synthIndex(t, c.sys)
+			if c.sys == caseStudy {
+				var err error
+				if idx, err = casestudy.BuildIndex(); err != nil {
+					t.Fatalf("case study: %v", err)
+				}
+			} else {
+				idx = synthIndex(t, c.sys)
+			}
 			indexes[c.sys] = idx
 		}
 		opts := []Option{WithWorkers(1)}
@@ -360,6 +379,47 @@ func TestLUKernelCountersPinnedWarmChain(t *testing.T) {
 			got := step{res.Utility, st.LPIterations, st.BoundFlips, st.Updates, st.Etas, st.Nodes, st.WarmHits}
 			if got != want {
 				t.Errorf("%s step %d: got %+v; pinned %+v", c.name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestDenseKernelRunsCold checks that the dense oracle never warm-starts: on
+// plan-cold's small class (40x40), dense-pinned MaxUtility (40% budget) and
+// MinCost (target 0.8, clamped) searches report no warm pivots, and reach
+// the auto kernel's objective.
+func TestDenseKernelRunsCold(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		idx := synthIndex(t, synth.Config{Seed: seed, Monitors: 40, Attacks: 40})
+		budget := idx.System().TotalMonitorCost() * 0.4
+		for _, c := range []struct {
+			name  string
+			solve func(opts ...Option) (*Result, error)
+			obj   func(*Result) float64
+		}{
+			{"maxutil", func(opts ...Option) (*Result, error) {
+				return NewOptimizer(idx, opts...).MaxUtility(budget)
+			}, func(r *Result) float64 { return r.Utility }},
+			{"mincost", func(opts ...Option) (*Result, error) {
+				return NewOptimizer(idx, append(opts, WithClampToAchievable())...).
+					MinCost(CoverageTargets{Global: 0.8})
+			}, func(r *Result) float64 { return r.Cost }},
+		} {
+			dense, err := c.solve(WithWorkers(1), WithDenseKernel())
+			if err != nil {
+				t.Fatalf("seed %d dense %s: %v", seed, c.name, err)
+			}
+			auto, err := c.solve(WithWorkers(1))
+			if err != nil {
+				t.Fatalf("seed %d auto %s: %v", seed, c.name, err)
+			}
+			if dense.Stats.WarmIterations != 0 || dense.Stats.WarmHits != 0 {
+				t.Errorf("seed %d %s: dense kernel ran %d warm pivots over %d warm hits; want cold solves only",
+					seed, c.name, dense.Stats.WarmIterations, dense.Stats.WarmHits)
+			}
+			if !approx(c.obj(dense), c.obj(auto)) || !dense.Proven || !auto.Proven {
+				t.Errorf("seed %d %s: dense objective %v (proven %v), auto %v (proven %v)",
+					seed, c.name, c.obj(dense), dense.Proven, c.obj(auto), auto.Proven)
 			}
 		}
 	}

@@ -46,10 +46,13 @@ func (w Objectives) validate() error {
 // multi-objective solve.
 type WeightedResult struct {
 	Result
-	// Score is the achieved weighted objective value.
+	// Score is the achieved value of the weighted objective the ILP
+	// maximized. Under WithCorroboration(k >= 2) its utility and richness
+	// terms count only data types with at least k deployed producers.
 	Score float64 `json:"score"`
 	// RichnessValue and RedundancyValue are the component metrics of the
-	// selected deployment (Utility lives in the embedded Result).
+	// selected deployment (Utility lives in the embedded Result), plain at
+	// every corroboration level.
 	RichnessValue   float64 `json:"richness"`
 	RedundancyValue float64 `json:"redundancy"`
 }
@@ -78,28 +81,41 @@ func (o *Optimizer) MaxWeighted(budget float64, weights Objectives) (*WeightedRe
 	}, nil
 }
 
-// richnessShares computes each relevant data type's share of the richness
-// metric: fields(d) / total relevant fields (field-less data types count
-// one, matching metrics.Richness).
-func richnessShares(idx *model.Index, relevant map[model.DataTypeID]float64) (map[model.DataTypeID]float64, int) {
-	shares := make(map[model.DataTypeID]float64, len(relevant))
+// richnessFields counts the fields of each relevant data type (a
+// field-less data type counts one, matching metrics.Richness) and their
+// total: covering data type d adds fields[d]/total to the richness metric.
+func richnessFields(idx *model.Index, relevant map[model.DataTypeID]float64) (map[model.DataTypeID]int, int) {
+	fields := make(map[model.DataTypeID]int, len(relevant))
 	total := 0
 	for d := range relevant {
 		info, ok := idx.DataType(d)
 		if !ok {
 			continue
 		}
-		nf := len(info.Fields)
-		if nf == 0 {
-			nf = 1
-		}
-		shares[d] = float64(nf)
+		nf := max(len(info.Fields), 1)
+		fields[d] = nf
 		total += nf
 	}
-	if total > 0 {
-		for d := range shares {
-			shares[d] /= float64(total)
+	return fields, total
+}
+
+// corroboratedRichness is the richness a weighted ILP scores at
+// corroboration level k: the field share of the relevant data types with at
+// least k deployed producers. At k = 1 it is metrics.Richness.
+func corroboratedRichness(idx *model.Index, d *model.Deployment, k int) float64 {
+	if k <= 1 {
+		return metrics.Richness(idx, d)
+	}
+	fields, total := richnessFields(idx, evidenceContribution(idx))
+	if total == 0 {
+		return 0
+	}
+	covered := metrics.CoveredData(idx, d)
+	hit := 0
+	for dt, nf := range fields {
+		if covered[dt] >= k {
+			hit += nf
 		}
 	}
-	return shares, total
+	return float64(hit) / float64(total)
 }

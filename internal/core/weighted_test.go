@@ -9,12 +9,13 @@ import (
 
 	"secmon/internal/metrics"
 	"secmon/internal/model"
+	"secmon/internal/synth"
 )
 
 func TestMaxWeightedPureUtilityMatchesMaxUtility(t *testing.T) {
 	// Under corroboration both objectives count only evidence k monitors
-	// produce, so their corroborated utilities must agree; at k = 1 that is
-	// plain utility.
+	// produce, so their corroborated utilities must agree, and the weighted
+	// score is that corroborated utility; at k = 1 it is plain utility.
 	idx := testIndex(t)
 	for _, k := range []int{1, 2} {
 		for _, budget := range []float64{15, 45, 75} {
@@ -31,8 +32,8 @@ func TestMaxWeightedPureUtilityMatchesMaxUtility(t *testing.T) {
 			if !approx(got, want) {
 				t.Errorf("k=%d budget %v: weighted corroborated utility %v != exact %v", k, budget, got, want)
 			}
-			if !approx(weighted.Score, weighted.Utility) {
-				t.Errorf("k=%d budget %v: score %v != utility %v", k, budget, weighted.Score, weighted.Utility)
+			if !approx(weighted.Score, got) {
+				t.Errorf("k=%d budget %v: score %v != corroborated utility %v", k, budget, weighted.Score, got)
 			}
 		}
 	}
@@ -142,5 +143,36 @@ func TestQuickWeightedScoreIsExhaustiveOptimum(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMaxWeightedCorroboratedScore checks that Score is the objective the
+// ILP maximized: under corroboration k = 2 a proven solve's Score equals its
+// BestBound, while Utility and RichnessValue stay plain. At k = 1 the score
+// is the plain weighted sum.
+func TestMaxWeightedCorroboratedScore(t *testing.T) {
+	idx := synthIndex(t, synth.Config{Seed: 3, Monitors: 40, Attacks: 40})
+	budget := idx.System().TotalMonitorCost() * 0.4
+	weights := Objectives{Utility: 1, Richness: 0.5}
+
+	res, err := NewOptimizer(idx, WithCorroboration(2)).MaxWeighted(budget, weights)
+	if err != nil {
+		t.Fatalf("k=2: %v", err)
+	}
+	if !res.Proven || math.Abs(res.Score-res.BestBound) > 1e-9 {
+		t.Errorf("k=2: proven %v, score %v, best bound %v; want a proven score equal to the bound",
+			res.Proven, res.Score, res.BestBound)
+	}
+	if res.Utility != metrics.Utility(idx, res.Deployment) ||
+		res.RichnessValue != metrics.Richness(idx, res.Deployment) {
+		t.Errorf("k=2: utility %v, richness %v; want the plain metrics", res.Utility, res.RichnessValue)
+	}
+
+	plain, err := NewOptimizer(idx).MaxWeighted(budget, weights)
+	if err != nil {
+		t.Fatalf("k=1: %v", err)
+	}
+	if math.Abs(plain.Score-1.457343) > 5e-7 {
+		t.Errorf("k=1: score %v, want 1.457343", plain.Score)
 	}
 }

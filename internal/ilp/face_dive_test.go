@@ -57,22 +57,3 @@ func TestFaceDiveClosesLPTightRoot(t *testing.T) {
 		}
 	}
 }
-
-// TestSetFaceDive checks the package-wide pin used by trajectory-golden
-// tests round-trips and actually disables the dive.
-func TestSetFaceDive(t *testing.T) {
-	if prev := SetFaceDive(false); !prev {
-		t.Fatalf("face dive default should be on, SetFaceDive reported %v", prev)
-	}
-	defer SetFaceDive(true)
-	if prev := SetFaceDive(false); prev {
-		t.Fatalf("second SetFaceDive(false) reported previous=on")
-	}
-	sol, err := lpTightInstance(t, 12).Solve(WithKernel(lp.KernelSparse))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != StatusOptimal || !almostEqual(sol.Objective, 12) {
-		t.Fatalf("pinned-off solve: status %v objective %v", sol.Status, sol.Objective)
-	}
-}

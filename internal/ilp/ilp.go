@@ -20,7 +20,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"secmon/internal/certify"
@@ -465,18 +464,6 @@ func WithoutFaceDive() Option {
 	return optionFunc(func(o *options) { o.disableFaceDive = true })
 }
 
-// faceDiveOff is the package-wide opt-out for the optimal-face root dive
-// (zero value: enabled). Tests that pin exact search trajectories — the
-// golden artifacts snapshot node and LP iteration counts — flip it via
-// SetFaceDive, the same way they pin the simplex kernel and GOMAXPROCS.
-var faceDiveOff atomic.Bool
-
-// SetFaceDive enables or disables the optimal-face root dive package-wide
-// and returns the previous setting.
-func SetFaceDive(on bool) bool {
-	return !faceDiveOff.Swap(!on)
-}
-
 // WithBranchRule selects the branching variable rule.
 func WithBranchRule(rule BranchRule) Option {
 	return optionFunc(func(o *options) { o.branchRule = rule })
@@ -488,13 +475,15 @@ func WithLPOptions(opts ...lp.Option) Option {
 }
 
 // WithKernel routes every LP relaxation to the given simplex kernel.
-// lp.KernelAuto (the zero value) defers to the lp package default.
+// lp.KernelAuto (the zero value) pins none and leaves the choice to the lp
+// package's auto dispatch.
 func WithKernel(k lp.Kernel) Option {
 	return optionFunc(func(o *options) { o.kernel = k })
 }
 
 // WithDenseKernel routes every LP relaxation to the dense tableau kernel,
-// the correctness oracle for the default sparse revised simplex.
+// the correctness oracle for the default sparse revised simplex. The dense
+// kernel solves every relaxation cold.
 func WithDenseKernel() Option { return WithKernel(lp.KernelDense) }
 
 // WithoutWarmStart disables dual-simplex warm starts: every node relaxation

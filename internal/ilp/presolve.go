@@ -187,7 +187,7 @@ func prepareRoot(p *Problem, cfg *options, started time.Time) (*rootPrep, error)
 	// dive runs before the free dive: when the root bound is attained by an
 	// integer point, it finds one regardless of which optimal vertex the
 	// simplex kernel stopped at and the search ends here.
-	faceDive := !cfg.disableFaceDive && !faceDiveOff.Load()
+	faceDive := !cfg.disableFaceDive
 	if !cfg.disableDive && !timeUp() {
 		root := &node{lo: pr.lo, hi: pr.hi, bound: pr.bound, branchedVar: -1, basis: pr.basis}
 		if faceDive {

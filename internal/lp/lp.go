@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Inf is a convenience alias for positive infinity, used for unbounded
@@ -423,10 +422,9 @@ type options struct {
 	warmBasis     *Basis
 	ctx           context.Context
 	kernel        Kernel
-	// kernelAuto records that kernel came from the package default rather
-	// than an explicit WithKernel pin; auto solves pick the eta kernel for
-	// primal-start problems on small bases (see bindSparse and
-	// luAutoMinDim).
+	// kernelAuto records that no kernel was pinned for this solve; auto
+	// solves pick the eta kernel for primal-start problems on small bases
+	// (see bindSparse and luAutoMinDim).
 	kernelAuto  bool
 	volatileSol bool
 }
@@ -435,9 +433,8 @@ type options struct {
 type Kernel int
 
 const (
-	// KernelAuto resolves to the package default kernel. Unless
-	// SetDefaultKernel pins one, that is the sparse revised simplex with a
-	// per-problem choice of basis representation: the LU kernel for
+	// KernelAuto pins no kernel: the solve runs the sparse revised simplex
+	// with a per-problem choice of basis representation, the LU kernel for
 	// dual-start problems (the all-logical start violates a row, as
 	// MinCost coverage rows do) and for bases of luAutoMinDim rows or more,
 	// the eta kernel for smaller primal-start problems.
@@ -448,7 +445,9 @@ const (
 	// and a bound-flipping dual ratio test. The default.
 	KernelSparse
 	// KernelDense is the original dense-tableau implementation, kept as the
-	// correctness oracle.
+	// correctness oracle. It always solves cold with the two-phase method:
+	// a WithWarmStart basis is ignored, though an optimal solve still
+	// captures its final basis.
 	KernelDense
 	// KernelEta is the previous sparse revised simplex, whose basis inverse
 	// is a product-form eta file rebuilt on a fixed pivot budget. It is
@@ -478,37 +477,12 @@ func (k Kernel) String() string {
 	}
 }
 
-// defaultKernel holds the package-wide kernel used when a solve does not pick
-// one explicitly; 0 (KernelAuto) means KernelSparse.
-var defaultKernel atomic.Int32
-
-// SetDefaultKernel overrides the package default kernel and returns the
-// previous raw setting (possibly KernelAuto) so callers can restore it
-// exactly. It exists so test suites and command-line tools can pin a kernel
-// globally (the golden-artifact tests pin the dense oracle, whose pivot
-// counts the artifacts record) without threading an option through every
-// call site. A kernel set here is a pin: solves honor it unconditionally.
-// Only the untouched KernelAuto default lets small primal-start solves fall
-// back to the eta kernel. Not intended for per-solve selection — use
-// WithKernel.
-func SetDefaultKernel(k Kernel) Kernel {
-	return Kernel(defaultKernel.Swap(int32(k)))
-}
-
-// DefaultKernel reports the kernel used by solves that do not select one.
-func DefaultKernel() Kernel {
-	if k := Kernel(defaultKernel.Load()); k == KernelSparse || k == KernelDense || k == KernelEta {
-		return k
-	}
-	return KernelSparse
-}
-
 type kernelOption Kernel
 
 func (o kernelOption) apply(opts *options) { opts.kernel = Kernel(o) }
 
 // WithKernel selects the simplex kernel for this solve. KernelAuto (the zero
-// value) defers to the package default.
+// value) pins none and leaves the choice to auto dispatch.
 func WithKernel(k Kernel) Option { return kernelOption(k) }
 
 // WithDenseKernel runs this solve on the dense-tableau oracle kernel instead
@@ -516,7 +490,7 @@ func WithKernel(k Kernel) Option { return kernelOption(k) }
 func WithDenseKernel() Option { return kernelOption(KernelDense) }
 
 // WithSparseKernel forces the sparse revised simplex kernel (the LU
-// factorization), overriding a dense package default.
+// factorization) at every problem size.
 func WithSparseKernel() Option { return kernelOption(KernelSparse) }
 
 // WithEtaKernel runs this solve on the retained product-form eta kernel, the
@@ -594,14 +568,14 @@ func (o *options) interrupted() error {
 }
 
 // WithWarmStart enables warm-start support for the solve. When b is non-nil
-// and describes a basis of a problem with the same shape, the solve first
-// attempts a dual-simplex re-solve from that basis — the fast path for
-// branch-and-bound children, which differ from their parent only in
-// variable bounds — and falls back to the cold two-phase method on any
-// structural or numerical trouble. With or without an input basis, an
-// optimal solve captures its final basis in Solution.Basis for reuse.
-// Warm-started results are exact: only proven outcomes are reported from
-// the warm path.
+// and describes a basis of a problem with the same shape, a sparse-kernel
+// solve first attempts a dual-simplex re-solve from that basis — the fast
+// path for branch-and-bound children, which differ from their parent only
+// in variable bounds — and falls back to a cold solve on any structural or
+// numerical trouble. The dense kernel ignores b and always solves cold.
+// With or without an input basis, an optimal solve captures its final basis
+// in Solution.Basis for reuse. Warm-started results are exact: only proven
+// outcomes are reported from the warm path.
 func WithWarmStart(b *Basis) Option { return warmStartOption{b: b} }
 
 // Solve optimizes the problem and returns the outcome. An error is returned
@@ -625,47 +599,24 @@ func (p *Problem) Solve(opts ...Option) (*Solution, error) {
 		return nil, err
 	}
 	if cfg.kernel != KernelSparse && cfg.kernel != KernelDense && cfg.kernel != KernelEta {
-		cfg.kernel = DefaultKernel()
-		// Only the untouched KernelAuto default is dimension-adaptive; a
-		// kernel pinned globally with SetDefaultKernel behaves like a
-		// per-solve WithKernel pin.
-		cfg.kernelAuto = Kernel(defaultKernel.Load()) == KernelAuto
+		cfg.kernel = KernelSparse
+		cfg.kernelAuto = true
 	}
-	sparseKernel := cfg.kernel == KernelSparse || cfg.kernel == KernelEta
 	ws := cfg.workspace
-	pooled := ws == nil
-	if pooled {
+	if ws == nil {
 		ws = solvePool.Get().(*Workspace)
-	}
-	if cfg.warm && cfg.warmBasis != nil {
-		var sol *Solution
-		var ok bool
-		if sparseKernel {
-			sol, ok = sparseWarmSolve(p, &cfg, cfg.warmBasis, ws)
-		} else {
-			sol, ok = warmSolve(p, &cfg, cfg.warmBasis, ws)
-		}
-		if ok {
-			if pooled {
-				solvePool.Put(ws)
-			}
-			return sol, nil
-		}
+		defer solvePool.Put(ws)
 	}
 	fellBack := 0
-	if sparseKernel {
-		sol, ok, err := sparseColdSolve(p, &cfg, ws)
-		if err != nil {
-			if pooled {
-				solvePool.Put(ws)
+	if cfg.kernel != KernelDense {
+		if cfg.warm && cfg.warmBasis != nil {
+			if sol, ok := sparseWarmSolve(p, &cfg, cfg.warmBasis, ws); ok {
+				return sol, nil
 			}
-			return nil, err
 		}
-		if ok {
-			if pooled {
-				solvePool.Put(ws)
-			}
-			return sol, nil
+		sol, ok, err := sparseColdSolve(p, &cfg, ws)
+		if err != nil || ok {
+			return sol, err
 		}
 		// The sparse kernel declined (cold-start shape it does not cover, or
 		// numerical trouble): the dense two-phase method is the oracle
@@ -679,9 +630,6 @@ func (p *Problem) Solve(opts ...Option) (*Solution, error) {
 		if cfg.warm && sol.Status == StatusOptimal {
 			sol.Basis = s.captureBasis()
 		}
-	}
-	if pooled {
-		solvePool.Put(ws)
 	}
 	return sol, err
 }

@@ -2,8 +2,8 @@ package lp
 
 // Basis remapping across problem edits.
 //
-// A Basis is keyed to the exact shape it was captured on: warmSolve rejects
-// any snapshot whose variable or row count differs from the problem at hand.
+// A Basis is keyed to the exact shape it was captured on: a warm solve
+// rejects any snapshot whose variable or row count differs from the problem at hand.
 // Coordinator loops that re-solve after an instance EDIT — columns added or
 // dropped, rows added or dropped — would therefore always fall back to a
 // cold two-phase solve. RemapBasis translates a snapshot between two shapes

@@ -4,8 +4,8 @@ package lp
 // kernels, the LU kernel (KernelSparse, the default) and the retained eta
 // kernel (KernelEta, a differential-testing oracle).
 //
-// The dense kernels in simplex.go and warm.go carry an explicit m x (n+m)
-// tableau and pay O(m*(n+m)) per pivot to keep it eliminated. The deployment
+// The dense kernel in simplex.go carries an explicit tableau and pays
+// O(m*(n+m)) per pivot to keep it eliminated. The deployment
 // ILP's constraint matrix is overwhelmingly sparse — each coverage or cost
 // row touches a handful of monitor variables — so both sparse kernels store
 // the constraint matrix once in CSR/CSC form and never form a tableau; they
@@ -42,18 +42,18 @@ package lp
 // oracle for differential tests; production solves should use the LU
 // kernel.
 //
-// Both kernels share the stable column layout of warm.go — columns 0..n-1
+// Both kernels share the stable column layout of basis.go — columns 0..n-1
 // are the structural variables, column n+i the logical of row i — and the
 // same basis-position semantics, so Basis snapshots move freely between the
-// dense, eta and LU warm paths. They serve both phases of the
-// branch-and-bound inner loop: warm-started dual simplex for children
-// (bound changes only) and a cold start at the root, either a primal devex
-// phase 2 when the all-lower point is feasible or a dual solve from the
-// cost-sign "flip" point when it is dual feasible. The rare remainder (an
-// attractive column with an infinite upper bound from a primal-infeasible
-// start, or a numerically singular (re)factorization) falls back to the
-// dense two-phase oracle transparently, counted in
-// Solution.KernelFallbacks.
+// eta and LU warm paths, and a dense solve's captured basis seeds either.
+// They serve both phases of the branch-and-bound inner loop: warm-started
+// dual simplex for children (bound changes only) and a cold start at the
+// root, either a primal devex phase 2 when the all-lower point is feasible
+// or a dual solve from the cost-sign "flip" point when it is dual feasible.
+// The rare remainder (an attractive column with an infinite upper bound
+// from a primal-infeasible start, or a numerically singular
+// (re)factorization) falls back to the dense two-phase oracle
+// transparently, counted in Solution.KernelFallbacks.
 
 import (
 	"math"
@@ -251,7 +251,7 @@ func (e *etaFile) btran(y []float64) {
 // sparseState is the workspace sub-struct backing the sparse kernel: the
 // cached constraint matrix, the basis factorization that persists between
 // warm solves, and all scratch buffers. It is disjoint from the dense
-// kernels' buffers by construction.
+// kernel's buffers by construction.
 type sparseState struct {
 	// Constraint-matrix cache, keyed on the identity and shape of the
 	// problem. Branch-and-bound mutates only variable bounds in place, so
@@ -260,7 +260,7 @@ type sparseState struct {
 	matProb *Problem
 	mat     sparseMatrix
 
-	// Persistent factorization of prob's basis, analogous to warmState.
+	// Persistent factorization of prob's basis between warm solves.
 	// Exactly one of the two representations is live at a time: luf when
 	// isLU, the eta file otherwise. A kernel switch on the same workspace
 	// invalidates the state, so one kernel never trusts the other's
@@ -525,7 +525,7 @@ func statuses2(buf *[]varStatus, n int, zero bool) []varStatus {
 }
 
 // loadBounds refreshes the stable-layout bounds and maximize-form costs from
-// the problem, exactly as the dense warm path does.
+// the problem.
 func (s *spx) loadBounds() {
 	st := s.st
 	for j := 0; j < s.n; j++ {
@@ -560,7 +560,7 @@ func (s *spx) recoverDtol() {
 }
 
 // feasTol is the primal feasibility tolerance against a bound of the given
-// magnitude, matching the dense warm path.
+// magnitude.
 func (s *spx) feasTol(bound float64) float64 {
 	return s.cfg.tolerance * 10 * (1 + math.Abs(bound))
 }

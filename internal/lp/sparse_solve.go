@@ -35,7 +35,7 @@ type pivotChecker interface {
 // sparseWarmSolve attempts a dual-simplex solve of p from basis b using the
 // workspace's sparse state. ok=false means nothing conclusive happened and
 // the caller falls through to the cold path; ok=true returns a proven
-// outcome, mirroring the dense warmSolve contract exactly.
+// outcome (optimal, or primal infeasible via an unbounded dual ray).
 func sparseWarmSolve(p *Problem, cfg *options, b *Basis, ws *Workspace) (*Solution, bool) {
 	n, m := len(p.vars), len(p.cons)
 	if b == nil || b.n != n || b.m != m {

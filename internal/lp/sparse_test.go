@@ -253,34 +253,43 @@ func TestSparseRefactorization(t *testing.T) {
 	}
 }
 
-func TestSetDefaultKernel(t *testing.T) {
-	prev := SetDefaultKernel(KernelDense)
-	defer SetDefaultKernel(prev)
-	if DefaultKernel() != KernelDense {
-		t.Fatalf("DefaultKernel = %v after pinning dense", DefaultKernel())
-	}
-	sol, err := buildBoundedLP().Solve()
+// TestWithKernelPin checks that a per-solve kernel pin beats auto dispatch:
+// buildBoundedLP is a small primal-start problem, which auto dispatch runs
+// on the eta kernel, yet an LU pin runs LU. The dense pin runs cold even
+// when handed a warm basis, and still captures one.
+func TestWithKernelPin(t *testing.T) {
+	root, err := buildBoundedLP().Solve(WithWarmStart(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Etas != 0 {
-		t.Errorf("dense default kernel reported %d etas", sol.Etas)
+	if root.Basis == nil {
+		t.Fatal("auto solve captured no basis")
 	}
-	SetDefaultKernel(KernelSparse)
-	sol, err = buildBoundedLP().Solve()
+	sol, err := buildBoundedLP().Solve(WithKernel(KernelDense), WithWarmStart(root.Basis))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Updates == 0 && sol.Refactorizations == 0 {
-		t.Errorf("sparse default kernel reported zero updates and refactorizations")
+	if sol.Warm || sol.Etas != 0 || sol.Updates != 0 || sol.Refactorizations != 0 {
+		t.Errorf("dense pin: warm %v, %d etas, %d updates, %d refactorizations; want a cold dense solve",
+			sol.Warm, sol.Etas, sol.Updates, sol.Refactorizations)
 	}
-	SetDefaultKernel(KernelEta)
-	sol, err = buildBoundedLP().Solve()
+	if sol.Basis == nil {
+		t.Errorf("dense pin captured no basis")
+	}
+	sol, err = buildBoundedLP().Solve(WithKernel(KernelLU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Etas != 0 || (sol.Updates == 0 && sol.Refactorizations == 0) {
+		t.Errorf("LU pin: %d etas, %d updates, %d refactorizations; want the LU kernel",
+			sol.Etas, sol.Updates, sol.Refactorizations)
+	}
+	sol, err = buildBoundedLP().Solve(WithKernel(KernelEta))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Etas == 0 {
-		t.Errorf("eta default kernel reported zero etas")
+		t.Errorf("eta pin reported zero etas")
 	}
 }
 
@@ -300,16 +309,13 @@ func buildCoverLP() *Problem {
 	return p
 }
 
-// TestAutoKernelDimensionDispatch checks the auto dispatch — no kernel pin
-// from WithKernel or SetDefaultKernel. A small primal-start problem runs the
+// TestAutoKernelDimensionDispatch checks the auto dispatch — no WithKernel
+// pin. A small primal-start problem runs the
 // eta kernel (below luAutoMinDim the eta file's cheap cold starts win); a
 // small dual-start problem runs LU, and keeps it through warm re-solves on
 // the same workspace and in clones first solved under tightened bounds; an
 // explicit sparse pin runs the LU machinery.
 func TestAutoKernelDimensionDispatch(t *testing.T) {
-	prev := SetDefaultKernel(KernelAuto)
-	defer SetDefaultKernel(prev)
-
 	onLU := func(what string, sol *Solution) {
 		t.Helper()
 		if sol.Etas != 0 {

@@ -24,37 +24,16 @@ type Workspace struct {
 	structOrig, rowDualCol []int
 	status                 []varStatus
 	redundant, rowFlipped  []bool
-
-	warm warmState // dense dual-simplex warm-start state; see warm.go
+	colRow                 []int  // captureBasis: owning row per slack/artificial column
+	seen                   []bool // captureBasis: stable columns already basic
 
 	// sparse revised-simplex state; see sparse.go. Kept in its own
-	// sub-struct, fully disjoint from both the cold tableau buffers above
-	// and the dense warmState, so alternating kernels on one workspace can
-	// never hand one kernel the other's stale scratch: acquisition is
-	// kernel-aware by construction, and the sparse state additionally keys
-	// itself on (problem, shape, basis identity) before trusting any cached
-	// factorization.
+	// sub-struct, fully disjoint from the cold tableau buffers above, so
+	// alternating kernels on one workspace can never hand one kernel the
+	// other's stale scratch: acquisition is kernel-aware by construction,
+	// and the sparse state additionally keys itself on (problem, shape,
+	// basis identity) before trusting any cached factorization.
 	sparse sparseState
-}
-
-// warmState is the stable-layout factorization a workspace keeps between
-// warm solves (see warm.go). The cold simplex buffers above are separate on
-// purpose: a cold fallback must not clobber a still-useful factorization.
-type warmState struct {
-	tab, beta []float64 // m x (n+m) tableau B^-1 A and B^-1 b
-	x, lo, up []float64 // values and bounds per stable column
-	cost, d   []float64 // maximize-form costs and reduced costs
-	basis     []int     // basic stable column per row
-	stat      []varStatus
-	inTarget  []bool // scratch: target-basis membership
-	rowFree   []bool // scratch: rows whose basic column is being evicted
-	nzb       []int  // scratch: nonbasic columns with nonzero value
-	colRow    []int  // scratch: owning row per cold slack/artificial column
-	prob      *Problem
-	basisID   uint64 // Basis.id the statuses/values correspond to; 0 = none
-	n, m      int
-	valid     bool // tab/beta/basis form a consistent factorization of prob
-	pivots    int  // pivots since the last from-scratch refactorization
 }
 
 // NewWorkspace returns an empty workspace.

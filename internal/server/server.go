@@ -250,11 +250,12 @@ type OptimizeRequest struct {
 	// Workers is the branch-and-bound worker count (0 = GOMAXPROCS,
 	// 1 = one deterministic worker).
 	Workers int `json:"workers,omitempty"`
-	// Kernel selects the LP simplex kernel: "sparse"/"lu" (the default,
-	// sparse LU factorization with Forrest-Tomlin updates), "eta" (the
-	// retained eta-file kernel) or "dense" (the tableau correctness
-	// oracle). It participates in the solution cache key, so results
-	// computed by different kernels never alias.
+	// Kernel pins the LP simplex kernel: empty for auto dispatch (the
+	// default), "sparse"/"lu" (sparse LU factorization with Forrest-Tomlin
+	// updates), "eta" (the retained eta-file kernel) or "dense" (the
+	// tableau correctness oracle, which solves every relaxation cold). It
+	// participates in the solution cache key, so results computed by
+	// different kernels never alias.
 	Kernel string `json:"kernel,omitempty"`
 	// Certify makes the solve emit a machine-checkable optimality
 	// certificate, echoed in the result and verified server-side before the

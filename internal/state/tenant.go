@@ -26,7 +26,8 @@ type SolveSpec struct {
 	// guaranteed bit-identical only at one worker; parallel search may
 	// report a different member of an exact tie.
 	Workers int `json:"workers,omitempty"`
-	// Kernel pins the LP kernel: "", "sparse" or "dense".
+	// Kernel pins the LP kernel: "" (auto dispatch), "sparse" or "dense"
+	// (the tableau oracle, which solves every relaxation cold).
 	Kernel string `json:"kernel,omitempty"`
 	// Certify requests machine-checkable certificates. Certified tenants
 	// never reuse solver state: every mutation runs the full audited
