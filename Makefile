@@ -15,9 +15,9 @@ FUZZTIME ?= 5s
 SERVE_ADDR ?= 127.0.0.1:8643
 STRESS_N ?= 1000
 
-.PHONY: ci lint vet build test race race-solver kernel-equivalence decomp-equivalence certify stress stress-smoke bench-smoke fuzz-smoke serve-smoke sweep-equivalence load-smoke loadbench golden-update bench delta-equivalence state-smoke statebench campaign-smoke campaignbench bench-compare bench-compare-advisory perfbench-smoke search-equivalence
+.PHONY: ci lint vet build test race race-solver kernel-equivalence index-equivalence decomp-equivalence certify stress stress-smoke bench-smoke fuzz-smoke serve-smoke sweep-equivalence load-smoke loadbench golden-update bench delta-equivalence state-smoke statebench campaign-smoke campaignbench bench-compare bench-compare-advisory perfbench-smoke search-equivalence
 
-ci: lint build race search-equivalence kernel-equivalence decomp-equivalence sweep-equivalence delta-equivalence certify stress-smoke bench-smoke perfbench-smoke fuzz-smoke serve-smoke load-smoke state-smoke campaign-smoke bench-compare-advisory
+ci: lint build race search-equivalence kernel-equivalence index-equivalence decomp-equivalence sweep-equivalence delta-equivalence certify stress-smoke bench-smoke perfbench-smoke fuzz-smoke serve-smoke load-smoke state-smoke campaign-smoke bench-compare-advisory
 
 # staticcheck is preferred when it is on PATH; plain go vet is the fallback
 # so CI works on minimal toolchain images.
@@ -98,6 +98,20 @@ search-equivalence:
 kernel-equivalence:
 	$(GO) test ./internal/core -run 'TestKernelEquivalence|TestKernelCounters|TestLUKernelCountersPinned|TestLUKernelCountersPinnedWarmChain|TestDenseKernelRunsCold' -count=1
 	$(GO) test ./internal/lp -run 'TestSparse|TestWorkspaceKernelAlternation|TestAutoKernel|TestDSE|TestBFRT|TestLUHyperSparse|TestOrderClosure|TestScanCheck' -count=1
+
+# Compiled-index equivalence lane: the index's ordinal views against the
+# system they were compiled from (and ID lists handed out as copies), the
+# ordinal metrics against the per-attack map formulas bit for bit, the
+# evaluator's threshold preview, the campaign recall against
+# AttackCoverage, the ordinal greedy against the map-based reference pick
+# by pick, and the post-pass decision check (every prune and swap decision
+# the threshold preview settles is rerun through the full
+# CorroboratedUtility recompute and must agree).
+index-equivalence:
+	$(GO) test ./internal/model -run 'TestIndexViewsMatchSystem|TestIndexIDListsAreCopies' -count=1
+	$(GO) test ./internal/metrics -run 'TestMetricsBitIdenticalToPerAttackFormulas|TestEvaluator' -count=1
+	$(GO) test ./internal/campaign -run 'TestAnalyticRecallMatchesAttackCoverage' -count=1
+	$(GO) test ./internal/core -run 'TestPostPassDecisionsMatchFullRescore|TestCanonicalizeRandomSetsMatchesFullRescore|TestGreedyMatchesMapReference' -count=1
 
 # Warm-shared sweep equivalence lane: ParetoSweepWarm must report bit-equal
 # curves (objective, status, monitor sets) to the cold sweep across solver

@@ -255,6 +255,65 @@ func BenchmarkMidMinCost(b *testing.B) {
 	}
 }
 
+// BenchmarkNewIndex measures validating and compiling a synthetic system
+// into its index at the plan-cold sizes (small 40x40, E7 250x100, mid
+// 350x280 and the scale MinCost 5000x1000). Every cold solve, and every
+// tenant mutation, starts from one.
+func BenchmarkNewIndex(b *testing.B) {
+	for _, sz := range []struct{ monitors, attacks int }{{40, 40}, {250, 100}, {350, 280}, {5000, 1000}} {
+		b.Run(fmt.Sprintf("%dx%d", sz.monitors, sz.attacks), func(b *testing.B) {
+			sys, err := synth.Generate(synth.Config{Seed: 1, Monitors: sz.monitors, Attacks: sz.attacks})
+			if err != nil {
+				b.Fatalf("synth: %v", err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := model.NewIndex(sys); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMidMaxUtil measures one cold mid-size MaxUtility solve (350
+// monitors x 280 attacks at 40% of the total monitor cost, one worker,
+// default path): plan-cold's mid MaxUtility op, formulation and post-passes
+// included.
+func BenchmarkMidMaxUtil(b *testing.B) {
+	idx := synthIndex(b, 350, 280)
+	budget := idx.System().TotalMonitorCost() * 0.4
+	opt := core.NewOptimizer(idx, core.WithWorkers(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := opt.MaxUtility(budget); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepWarmMid measures plan-cold's warm sweep: ParetoSweepWarm
+// over 9 budget points from 40% to 80% of the total monitor cost on a
+// 350x280 instance, one worker, greedy and random baselines included.
+func BenchmarkSweepWarmMid(b *testing.B) {
+	idx := synthIndex(b, 350, 280)
+	total := idx.System().TotalMonitorCost()
+	budgets := make([]float64, 9)
+	for i := range budgets {
+		budgets[i] = total * (0.4 + 0.4*float64(i)/8)
+	}
+	opt := core.NewOptimizer(idx, core.WithWorkers(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := opt.ParetoSweepWarm(budgets, 1, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScaleMaxUtil measures the benchmark's scale MaxUtility solve:
 // 1500 monitors x 300 attacks in 30 segments at 22% of the total monitor
 // cost, one worker, default configuration (so the decomposition gate routes

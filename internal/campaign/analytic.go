@@ -101,7 +101,7 @@ func Analytic(idx *model.Index, d *model.Deployment, cfg Config) (*Prediction, e
 			Attack:         aid,
 			Weight:         model.AttackWeight(*attack),
 			Steps:          k,
-			EvidenceRecall: metrics.AttackCoverage(idx, d, aid),
+			EvidenceRecall: evidenceRecall(idx.AttackEvidence(aid), covered),
 		}
 		prefix := 1.0 // probability every stage before the current one missed
 		for i, step := range attack.Steps {
@@ -127,6 +127,21 @@ func Analytic(idx *model.Index, d *model.Deployment, cfg Config) (*Prediction, e
 	p.Earliness /= totalW
 	p.EvidenceRecall /= totalW
 	return p, nil
+}
+
+// evidenceRecall is metrics.AttackCoverage computed from the deployment's
+// covered-data counts, which Analytic builds once for every attack.
+func evidenceRecall(ev []model.DataTypeID, covered map[model.DataTypeID]int) float64 {
+	if len(ev) == 0 {
+		return 0
+	}
+	n := 0
+	for _, e := range ev {
+		if covered[e] > 0 {
+			n++
+		}
+	}
+	return float64(n) / float64(len(ev))
 }
 
 // Check compares a measured summary against the prediction and returns

@@ -33,68 +33,84 @@ func Greedy(idx *model.Index, budget float64) (*Result, error) {
 // deployment (may be nil). Fixed monitors are kept and their cost does not
 // count against the budget, matching the incremental exact formulation.
 func greedyFrom(idx *model.Index, budget float64, fixed *model.Deployment) *model.Deployment {
-	contrib := evidenceContribution(idx)
-
-	deployment := model.NewDeployment()
-	covered := make(map[model.DataTypeID]bool)
-	remaining := budget
+	d := model.NewDeployment()
 	if fixed != nil {
-		for _, id := range fixed.IDs() {
-			deployment.Add(id)
-			m, _ := idx.Monitor(id)
-			for _, d := range m.Produces {
+		d = fixed.Clone()
+	}
+	for _, m := range greedyPicks(idx, budget, fixed) {
+		d.Add(idx.MonitorAt(int(m)))
+	}
+	return d
+}
+
+// greedyPicks returns the monitor ordinals greedyFrom adds, in pick order.
+// A candidate that is unaffordable or adds no utility stays so for the rest
+// of the run (the remaining budget only shrinks, coverage only grows), so it
+// leaves the candidate list for good; the others are scanned in ordinal,
+// that is identifier, order every round.
+func greedyPicks(idx *model.Index, budget float64, fixed *model.Deployment) []int32 {
+	covered := make([]bool, idx.NumDataTypes())
+	chosen := make([]bool, idx.NumMonitors())
+	if fixed != nil {
+		for _, m := range fixed.Ordinals(idx) {
+			chosen[m] = true
+			for _, d := range idx.MonitorData(int(m)) {
 				covered[d] = true
 			}
 		}
 	}
-
-	// marginal returns the utility gained by adding monitor id given the
-	// currently covered data types.
-	marginal := func(id model.MonitorID) float64 {
-		m, _ := idx.Monitor(id)
+	// marginal returns the utility gained by adding monitor ordinal m given
+	// the currently covered data types.
+	marginal := func(m int) float64 {
 		gain := 0.0
-		for _, d := range m.Produces {
+		for _, d := range idx.MonitorData(m) {
 			if !covered[d] {
-				gain += contrib[d]
+				gain += idx.Contribution(int(d))
 			}
 		}
 		return gain
 	}
 
-	ids := idx.MonitorIDs()
+	candidates := make([]int32, 0, len(chosen))
+	for m, in := range chosen {
+		if !in {
+			candidates = append(candidates, int32(m))
+		}
+	}
+	var picks []int32
+	remaining := budget
 	for {
-		best := model.MonitorID("")
+		best := -1
 		bestRatio, bestGain := 0.0, 0.0
-		for _, id := range ids {
-			if deployment.Contains(id) {
-				continue
-			}
-			m, _ := idx.Monitor(id)
-			cost := m.TotalCost()
+		kept := candidates[:0]
+		for _, m := range candidates {
+			cost := idx.MonitorCost(int(m))
 			if cost > remaining {
 				continue
 			}
-			gain := marginal(id)
+			gain := marginal(int(m))
 			if gain <= 0 {
 				continue
 			}
+			kept = append(kept, m)
 			ratio := gain / math.Max(cost, 1e-12)
-			if best == "" || ratio > bestRatio+1e-15 ||
+			if best < 0 || ratio > bestRatio+1e-15 ||
 				(math.Abs(ratio-bestRatio) <= 1e-15 && gain > bestGain) {
-				best, bestRatio, bestGain = id, ratio, gain
+				best, bestRatio, bestGain = int(m), ratio, gain
 			}
 		}
-		if best == "" {
-			break
+		candidates = kept
+		if best < 0 {
+			return picks
 		}
-		deployment.Add(best)
-		m, _ := idx.Monitor(best)
-		remaining -= m.TotalCost()
-		for _, d := range m.Produces {
+		// The pick covers everything it produces, so its gain drops to zero
+		// and the next round drops it from the candidates.
+		picks = append(picks, int32(best))
+		remaining -= idx.MonitorCost(best)
+		for _, d := range idx.MonitorData(best) {
 			covered[d] = true
 		}
 	}
-	return deployment
 }
 
 // RandomDeployment adds monitors in a seeded random order while they fit the

@@ -400,7 +400,7 @@ func (o *Optimizer) MaxUtilityIncremental(budget float64, existing *model.Deploy
 // The raw ILP solution is returned alongside the result, so re-solve loops
 // can chain its root basis; it is nil when no monolithic solve ran.
 func (o *Optimizer) solve(spec formulationSpec, f *formulation, extra ...ilp.Option) (*Result, *ilp.Solution, error) {
-	if len(o.idx.MonitorIDs()) == 0 {
+	if o.idx.NumMonitors() == 0 {
 		if spec.kind == kindCost {
 			if _, err := o.requiredCounts(spec.targets); err != nil {
 				return nil, nil, err
@@ -457,7 +457,7 @@ func (o *Optimizer) solve(spec formulationSpec, f *formulation, extra ...ilp.Opt
 	switch sol.Status {
 	case ilp.StatusOptimal, ilp.StatusFeasible:
 		if d == nil {
-			d = f.decode(sol)
+			d = f.decode(o.idx, sol)
 		}
 		o.postPass(spec, d)
 	case ilp.StatusInfeasible:
@@ -596,16 +596,62 @@ func (o *Optimizer) pruneRedundant(d *model.Deployment, fixed *model.Deployment)
 	ev := metrics.NewEvaluator(o.idx)
 	ev.Load(d)
 	utility := ev.CorroboratedUtility(k)
-	for _, id := range d.IDs() {
+	for _, m := range d.Ordinals(o.idx) {
+		id := o.idx.MonitorAt(int(m))
 		if fixed.Contains(id) {
 			continue
 		}
-		d.Remove(id)
-		ev.Remove(id)
-		if ev.CorroboratedUtility(k) < utility-1e-12 {
-			d.Add(id)
-			ev.Add(id)
+		if o.keepsScore(ev, "prune", int(m), -1, func(_, after float64) bool { return after >= utility-1e-12 }) {
+			ev.RemoveOrdinal(int(m))
+			d.Remove(id)
 		}
+	}
+}
+
+// decisionMargin is how far, in utility, a move's previewed score change
+// must sit from zero for the preview alone to reject it. Both post-pass
+// tolerances (1e-12 and 1e-9) and the rounding of the utility sums lie
+// orders of magnitude below it.
+const decisionMargin = 1e-6
+
+// postPassCheck is a test hook, nil in production. When set, every prune
+// and swap decision the threshold preview settles is also taken by the full
+// rescoring, which then decides, and both answers are handed to it.
+var postPassCheck func(move string, preview, full bool)
+
+// keepsScore decides whether swapping monitor ordinal out for ordinal in
+// (-1 for none) keeps the score the post-pass preserves: full tests the
+// evaluator's corroborated utility before and after the swap. The
+// evaluator's threshold preview settles most moves without rescoring: when
+// no evidence data type crosses the corroboration threshold the score is
+// unchanged bit for bit, so the move keeps it; when the crossings change it
+// by more than decisionMargin, the move cannot. Every other move runs full,
+// as does every move under postPassCheck. The evaluator is left as it was.
+func (o *Optimizer) keepsScore(ev *metrics.Evaluator, move string, out, in int, full func(before, after float64) bool) bool {
+	k := o.corroborationLevel()
+	crossed, delta := ev.Change(out, in, k)
+	keep, settled := !crossed, !crossed || math.Abs(delta) > decisionMargin
+	if settled && postPassCheck == nil {
+		return keep
+	}
+	before := ev.CorroboratedUtility(k)
+	swap(ev, out, in)
+	fullKeep := full(before, ev.CorroboratedUtility(k))
+	swap(ev, in, out)
+	if settled {
+		postPassCheck(move, keep, fullKeep)
+	}
+	return fullKeep
+}
+
+// swap removes monitor ordinal out from the evaluator and adds ordinal in
+// (-1 for none).
+func swap(ev *metrics.Evaluator, out, in int) {
+	if out >= 0 {
+		ev.RemoveOrdinal(out)
+	}
+	if in >= 0 {
+		ev.AddOrdinal(in)
 	}
 }
 
@@ -651,7 +697,11 @@ func (o *Optimizer) objective(spec formulationSpec) func(*model.Deployment) floa
 	case kindWeighted:
 		w, k := spec.weights, o.corroborationLevel()
 		return func(d *model.Deployment) float64 {
-			return w.Utility*metrics.CorroboratedUtility(o.idx, d, k) + w.Richness*corroboratedRichness(o.idx, d, k) +
+			richness := metrics.Richness(o.idx, d)
+			if k > 1 {
+				richness, _ = metrics.CorroboratedRichness(o.idx, d, k)
+			}
+			return w.Utility*metrics.CorroboratedUtility(o.idx, d, k) + w.Richness*richness +
 				w.Redundancy*metrics.MeanRedundancy(o.idx, d)
 		}
 	case kindExpected:
@@ -676,48 +726,35 @@ func (o *Optimizer) objective(spec formulationSpec) func(*model.Deployment) floa
 // are never swapped out.
 func (o *Optimizer) canonicalizeTies(d *model.Deployment, fixed *model.Deployment) {
 	const tol = 1e-9
-	k := o.corroborationLevel()
+	sameScore := func(before, after float64) bool { return math.Abs(after-before) <= tol }
 	ev := metrics.NewEvaluator(o.idx)
 	ev.Load(d)
-	all := o.idx.MonitorIDs() // sorted
-	costs := make([]float64, len(all))
-	for i, id := range all {
-		m, _ := o.idx.Monitor(id)
-		costs[i] = m.TotalCost()
+	in := make([]bool, o.idx.NumMonitors())
+	for _, m := range d.Ordinals(o.idx) {
+		in[m] = true
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, s := range d.IDs() {
-			if fixed.Contains(s) {
+		for _, s := range d.Ordinals(o.idx) {
+			sid := o.idx.MonitorAt(int(s))
+			if fixed.Contains(sid) {
 				continue
 			}
-			sm, ok := o.idx.Monitor(s)
-			if !ok {
-				continue
-			}
-			base := ev.CorroboratedUtility(k)
-			for i, u := range all {
-				if u >= s {
-					break // only strictly earlier replacements shrink the set
-				}
-				if d.Contains(u) {
+			cost := o.idx.MonitorCost(int(s))
+			// Only strictly earlier replacements shrink the set, and the cost
+			// must be untouched to stay within budget.
+			for u := 0; u < int(s); u++ {
+				if in[u] || math.Abs(o.idx.MonitorCost(u)-cost) > tol {
 					continue
 				}
-				if math.Abs(costs[i]-sm.TotalCost()) > tol {
-					continue // cost must be untouched to stay within budget
-				}
-				d.Remove(s)
-				d.Add(u)
-				ev.Remove(s)
-				ev.Add(u)
-				if math.Abs(ev.CorroboratedUtility(k)-base) <= tol {
+				if o.keepsScore(ev, "swap", int(s), u, sameScore) {
+					swap(ev, int(s), u)
+					in[s], in[u] = false, true
+					d.Remove(sid)
+					d.Add(o.idx.MonitorAt(u))
 					changed = true
 					break
 				}
-				d.Remove(u)
-				d.Add(s)
-				ev.Remove(u)
-				ev.Add(s)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ func (o *Optimizer) shouldDecompose() bool {
 	if o.cfg.decompose > 0 {
 		return true
 	}
-	return len(o.idx.MonitorIDs()) >= DecompositionThreshold
+	return o.idx.NumMonitors() >= DecompositionThreshold
 }
 
 // requiredCounts maps every attack with a positive coverage requirement to
@@ -39,7 +39,8 @@ func (o *Optimizer) shouldDecompose() bool {
 func (o *Optimizer) requiredCounts(targets *CoverageTargets) (map[model.AttackID]float64, error) {
 	required := make(map[model.AttackID]float64)
 	for _, aid := range o.idx.AttackIDs() {
-		r, err := o.requiredEvidence(aid, targets)
+		a, _ := o.idx.AttackOrdinal(aid)
+		r, err := o.requiredEvidence(a, targets)
 		if err != nil {
 			return nil, err
 		}

@@ -62,9 +62,9 @@ func (o *Optimizer) MaxEarliness(budget, utilityWeight, earlinessWeight float64)
 
 // addEarlinessRows adds the earliness terms of the objective: per attack
 // and step, u_s <= sum of the step's covered evidence (the shared coverage
-// variables zVars), and prefix OR variables v_s <= u_1 + ... + u_s with the
-// telescoped objective coefficients.
-func (o *Optimizer) addEarlinessRows(prob *ilp.Problem, spec formulationSpec, zVars map[model.DataTypeID]lp.VarID) error {
+// variables zVars, by data type ordinal), and prefix OR variables
+// v_s <= u_1 + ... + u_s with the telescoped objective coefficients.
+func (o *Optimizer) addEarlinessRows(prob *ilp.Problem, spec formulationSpec, zVars []lp.VarID) error {
 	totalWeight := o.idx.System().TotalAttackWeight()
 	if spec.earliness == 0 || totalWeight == 0 {
 		return nil
@@ -81,8 +81,8 @@ func (o *Optimizer) addEarlinessRows(prob *ilp.Problem, spec formulationSpec, zV
 		for si, step := range attack.Steps {
 			var evTerms []lp.Term
 			for _, e := range step.Evidence {
-				if z, ok := zVars[e]; ok {
-					evTerms = append(evTerms, lp.Term{Var: z, Coeff: -1})
+				if d, _ := o.idx.DataTypeOrdinal(e); zVars[d] >= 0 {
+					evTerms = append(evTerms, lp.Term{Var: zVars[d], Coeff: -1})
 				}
 			}
 			u, err := prob.AddVariable(fmt.Sprintf("u:%s:%d", aid, si), 0, 1, 0)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"secmon/internal/certify"
 	"secmon/internal/ilp"
@@ -55,35 +56,14 @@ func (s formulationSpec) name() string {
 // formulation is a built ILP together with the variable mapping needed to
 // decode solutions.
 type formulation struct {
-	prob     *ilp.Problem
-	monitors []model.MonitorID
-	xVars    []lp.VarID
+	prob *ilp.Problem
+	// xVars holds the selection variable of each monitor ordinal.
+	xVars []lp.VarID
+	// terms is the scratch row the link rows are built in.
+	terms []lp.Term
 	// budgetRow is the ConID of the budget constraint (every kind but
 	// kindCost); -1 when absent.
 	budgetRow lp.ConID
-}
-
-// evidenceContribution computes, for every data type, its marginal utility
-// contribution: the sum over attacks using it as evidence of
-// weight / (totalWeight * |evidence union|). Covering data type d adds
-// exactly contribution[d] to the system utility.
-func evidenceContribution(idx *model.Index) map[model.DataTypeID]float64 {
-	total := idx.System().TotalAttackWeight()
-	contrib := make(map[model.DataTypeID]float64)
-	if total == 0 {
-		return contrib
-	}
-	for _, a := range idx.System().Attacks {
-		ev := idx.AttackEvidence(a.ID)
-		if len(ev) == 0 {
-			continue
-		}
-		share := model.AttackWeight(a) / (total * float64(len(ev)))
-		for _, e := range ev {
-			contrib[e] += share
-		}
-	}
-	return contrib
 }
 
 // buildFormulation constructs the exact ILP for the spec: the monitor
@@ -97,19 +77,26 @@ func (o *Optimizer) buildFormulation(spec formulationSpec) (*formulation, error)
 	}
 	prob := ilp.NewProblem(sense)
 
-	f := &formulation{prob: prob, monitors: o.idx.MonitorIDs(), budgetRow: -1}
-	f.xVars = make([]lp.VarID, len(f.monitors))
-	contrib := evidenceContribution(o.idx)
+	idx := o.idx
+	f := &formulation{prob: prob, xVars: make([]lp.VarID, idx.NumMonitors()), budgetRow: -1}
+
+	relevant := 0 // relevant data types, the redundancy share's denominator
+	for d := 0; spec.kind == kindWeighted && d < idx.NumDataTypes(); d++ {
+		if idx.Relevant(d) {
+			relevant++
+		}
+	}
 
 	// Monitor selection variables.
 	var budgetTerms []lp.Term
-	for i, id := range f.monitors {
-		m, _ := o.idx.Monitor(id)
-		v, err := prob.AddBinaryVariable("x:"+string(id), spec.monitorObjective(m, contrib))
+	xNames := prefixed("x:", len(f.xVars), func(m int) string { return string(idx.MonitorAt(m)) })
+	for m := range f.xVars {
+		id := idx.MonitorAt(m)
+		v, err := prob.AddBinaryVariable(xNames[m], spec.monitorObjective(idx, m, relevant))
 		if err != nil {
 			return nil, fmt.Errorf("core: add monitor variable: %w", err)
 		}
-		f.xVars[i] = v
+		f.xVars[m] = v
 		prob.SetBranchPriority(v, 1)
 		if spec.fixed.Contains(id) {
 			if err := prob.SetVariableBounds(v, 1, 1); err != nil {
@@ -118,7 +105,7 @@ func (o *Optimizer) buildFormulation(spec formulationSpec) (*formulation, error)
 			continue
 		}
 		if spec.kind != kindCost {
-			budgetTerms = append(budgetTerms, lp.Term{Var: v, Coeff: m.TotalCost()})
+			budgetTerms = append(budgetTerms, lp.Term{Var: v, Coeff: idx.MonitorCost(m)})
 		}
 	}
 	if spec.kind != kindCost {
@@ -132,11 +119,11 @@ func (o *Optimizer) buildFormulation(spec formulationSpec) (*formulation, error)
 	var err error
 	switch {
 	case spec.kind == kindExpected:
-		err = o.addLevelCoverage(prob, f, spec, contrib)
+		err = o.addLevelCoverage(prob, f, spec)
 	case o.cfg.expanded && spec.paperObjective():
 		err = o.addExpandedCoverage(prob, f, spec)
 	default:
-		err = o.addCompactCoverage(prob, f, spec, contrib)
+		err = o.addCompactCoverage(prob, f, spec)
 	}
 	if err != nil {
 		return nil, err
@@ -144,24 +131,46 @@ func (o *Optimizer) buildFormulation(spec formulationSpec) (*formulation, error)
 	return f, nil
 }
 
-// monitorObjective is the objective coefficient of monitor m's selection
-// variable: its cost under MinCost (zero when fixed), its redundancy share
-// under a weighted objective, and zero otherwise, where the coverage
-// variables carry the objective. The redundancy share is the number of
-// relevant evidence data types m produces, normalized the same way as
-// metrics.MeanRedundancy.
-func (s formulationSpec) monitorObjective(m *model.Monitor, contrib map[model.DataTypeID]float64) float64 {
+// prefixed returns prefix+id(i) for every i below n. The names are cut
+// from one string, so they cost one allocation instead of n.
+func prefixed(prefix string, n int, id func(int) string) []string {
+	size := n * len(prefix)
+	for i := 0; i < n; i++ {
+		size += len(id(i))
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i := 0; i < n; i++ {
+		b.WriteString(prefix)
+		b.WriteString(id(i))
+	}
+	all := b.String()
+	out := make([]string, n)
+	for i := range out {
+		end := len(prefix) + len(id(i))
+		out[i], all = all[:end], all[end:]
+	}
+	return out
+}
+
+// monitorObjective is the objective coefficient of monitor ordinal m's
+// selection variable: its cost under MinCost (zero when fixed), its
+// redundancy share under a weighted objective, and zero otherwise, where the
+// coverage variables carry the objective. The redundancy share is the number
+// of relevant evidence data types m produces over the relevant count,
+// normalized the same way as metrics.MeanRedundancy.
+func (s formulationSpec) monitorObjective(idx *model.Index, m, relevant int) float64 {
 	switch {
-	case s.kind == kindCost && !s.fixed.Contains(m.ID):
-		return m.TotalCost()
-	case s.kind == kindWeighted && s.weights.Redundancy > 0 && len(contrib) > 0:
+	case s.kind == kindCost && !s.fixed.Contains(idx.MonitorAt(m)):
+		return idx.MonitorCost(m)
+	case s.kind == kindWeighted && s.weights.Redundancy > 0 && relevant > 0:
 		produced := 0
-		for _, d := range m.Produces {
-			if _, ok := contrib[d]; ok {
+		for _, d := range idx.MonitorData(m) {
+			if idx.Relevant(int(d)) {
 				produced++
 			}
 		}
-		return s.weights.Redundancy * float64(produced) / float64(len(contrib))
+		return s.weights.Redundancy * float64(produced) / float64(relevant)
 	}
 	return 0
 }
@@ -173,23 +182,24 @@ func (s formulationSpec) monitorObjective(m *model.Monitor, contrib map[model.Da
 // disaggregated row (k-1)*z <= sum(x) - x_m per producer m tightens the LP
 // relaxation (z = 1 then provably needs k distinct producers even
 // fractionally).
-func (o *Optimizer) addLinkRows(prob *ilp.Problem, f *formulation, d model.DataTypeID, z lp.VarID, k int) error {
-	producers := o.idx.Producers(d)
+func (o *Optimizer) addLinkRows(prob *ilp.Problem, f *formulation, d int, z lp.VarID, k int) error {
+	producers := o.idx.DataProducers(d)
 	if k > 1 {
 		// Corroboration makes z no longer implied integral by the monitor
 		// variables (z <= sum(x)/k can be fractional), so z must be branched
 		// on too; monitor variables keep priority.
 		prob.SetInteger(z)
 	}
-	terms := f.appendProducers([]lp.Term{{Var: z, Coeff: float64(k)}}, producers, "")
-	if _, err := prob.AddConstraint("link:"+string(d), terms, lp.LE, 0); err != nil {
+	// AddConstraint copies its terms, so every row is built in f.terms.
+	f.terms = f.appendProducers(append(f.terms[:0], lp.Term{Var: z, Coeff: float64(k)}), producers, -1)
+	if _, err := prob.AddConstraint("link:"+string(o.idx.DataTypeAt(d)), f.terms, lp.LE, 0); err != nil {
 		return fmt.Errorf("core: link row: %w", err)
 	}
 	if k > 1 {
-		for _, mid := range producers {
-			terms := f.appendProducers([]lp.Term{{Var: z, Coeff: float64(k - 1)}}, producers, mid)
-			rowName := fmt.Sprintf("link:%s-minus-%s", d, mid)
-			if _, err := prob.AddConstraint(rowName, terms, lp.LE, 0); err != nil {
+		for _, m := range producers {
+			f.terms = f.appendProducers(append(f.terms[:0], lp.Term{Var: z, Coeff: float64(k - 1)}), producers, m)
+			rowName := fmt.Sprintf("link:%s-minus-%s", o.idx.DataTypeAt(d), o.idx.MonitorAt(int(m)))
+			if _, err := prob.AddConstraint(rowName, f.terms, lp.LE, 0); err != nil {
 				return fmt.Errorf("core: disaggregated link row: %w", err)
 			}
 		}
@@ -197,12 +207,12 @@ func (o *Optimizer) addLinkRows(prob *ilp.Problem, f *formulation, d model.DataT
 	return nil
 }
 
-// appendProducers appends a -1 term for every producer's selection
-// variable except skip's.
-func (f *formulation) appendProducers(terms []lp.Term, producers []model.MonitorID, skip model.MonitorID) []lp.Term {
-	for _, mid := range producers {
-		if mid != skip {
-			terms = append(terms, lp.Term{Var: f.xVars[f.monitorIndex(mid)], Coeff: -1})
+// appendProducers appends a -1 term for the selection variable of every
+// producer ordinal except skip.
+func (f *formulation) appendProducers(terms []lp.Term, producers []int32, skip int32) []lp.Term {
+	for _, m := range producers {
+		if m != skip {
+			terms = append(terms, lp.Term{Var: f.xVars[m], Coeff: -1})
 		}
 	}
 	return terms
@@ -213,23 +223,30 @@ func (f *formulation) appendProducers(terms []lp.Term, producers []model.Monitor
 // remaining rows: per-attack coverage rows (MinCost) or earliness rows. The
 // z variables carry the utility share (and, for a weighted objective, the
 // richness share) of the objective.
-func (o *Optimizer) addCompactCoverage(prob *ilp.Problem, f *formulation, spec formulationSpec, contrib map[model.DataTypeID]float64) error {
-	var fields map[model.DataTypeID]int
+func (o *Optimizer) addCompactCoverage(prob *ilp.Problem, f *formulation, spec formulationSpec) error {
+	idx := o.idx
+	var fields []int
 	totalFields := 0
 	if spec.kind == kindWeighted {
-		fields, totalFields = richnessFields(o.idx, contrib)
+		fields = metrics.RelevantFields(idx)
+		for _, nf := range fields {
+			totalFields += nf
+		}
 	}
 	k := o.corroborationLevel()
 	if spec.kind == kindEarliness {
 		k = 1 // earliness scores plain, single-producer utility
 	}
 
-	zVars := make(map[model.DataTypeID]lp.VarID, len(contrib))
-	for _, d := range o.idx.DataTypeIDs() {
-		share, relevant := contrib[d]
-		if !relevant || len(o.idx.Producers(d)) == 0 {
+	// zVars holds each data type ordinal's coverage variable, -1 for none.
+	zVars := make([]lp.VarID, idx.NumDataTypes())
+	zNames := prefixed("z:", len(zVars), func(d int) string { return string(idx.DataTypeAt(d)) })
+	for d := range zVars {
+		zVars[d] = -1
+		if !idx.Relevant(d) || len(idx.DataProducers(d)) == 0 {
 			continue // irrelevant, or nobody can cover it: identically zero
 		}
+		share := idx.Contribution(d)
 		obj := 0.0
 		switch spec.kind {
 		case kindUtility:
@@ -242,7 +259,7 @@ func (o *Optimizer) addCompactCoverage(prob *ilp.Problem, f *formulation, spec f
 		case kindEarliness:
 			obj = spec.weights.Utility * share
 		}
-		z, err := prob.AddVariable("z:"+string(d), 0, 1, obj)
+		z, err := prob.AddVariable(zNames[d], 0, 1, obj)
 		if err != nil {
 			return fmt.Errorf("core: add coverage variable: %w", err)
 		}
@@ -258,8 +275,9 @@ func (o *Optimizer) addCompactCoverage(prob *ilp.Problem, f *formulation, spec f
 	if spec.kind != kindCost {
 		return nil
 	}
-	for _, aid := range o.idx.AttackIDs() {
-		required, err := o.requiredEvidence(aid, spec.targets)
+	for _, aid := range idx.AttackIDs() {
+		a, _ := idx.AttackOrdinal(aid)
+		required, err := o.requiredEvidence(a, spec.targets)
 		if err != nil {
 			return err
 		}
@@ -267,8 +285,8 @@ func (o *Optimizer) addCompactCoverage(prob *ilp.Problem, f *formulation, spec f
 			continue
 		}
 		var terms []lp.Term
-		for _, e := range o.idx.AttackEvidence(aid) {
-			if z, ok := zVars[e]; ok {
+		for _, e := range idx.AttackData(a) {
+			if z := zVars[e]; z >= 0 {
 				terms = append(terms, lp.Term{Var: z, Coeff: 1})
 			}
 		}
@@ -282,36 +300,37 @@ func (o *Optimizer) addCompactCoverage(prob *ilp.Problem, f *formulation, spec f
 // addExpandedCoverage adds one coverage variable per (attack, evidence)
 // pair, the paper's direct encoding; kept for the formulation ablation.
 func (o *Optimizer) addExpandedCoverage(prob *ilp.Problem, f *formulation, spec formulationSpec) error {
-	totalWeight := o.idx.System().TotalAttackWeight()
-	for _, aid := range o.idx.AttackIDs() {
-		attack, _ := o.idx.Attack(aid)
-		ev := o.idx.AttackEvidence(aid)
+	idx := o.idx
+	totalWeight := idx.System().TotalAttackWeight()
+	for _, aid := range idx.AttackIDs() {
+		a, _ := idx.AttackOrdinal(aid)
+		ev := idx.AttackData(a)
 		share := 0.0
 		if totalWeight > 0 && len(ev) > 0 {
-			share = model.AttackWeight(*attack) / (totalWeight * float64(len(ev)))
+			share = model.AttackWeight(idx.System().Attacks[a]) / (totalWeight * float64(len(ev)))
 		}
 
 		var attackTerms []lp.Term
 		for _, e := range ev {
-			if len(o.idx.Producers(e)) == 0 {
+			if len(idx.DataProducers(int(e))) == 0 {
 				continue
 			}
 			obj := 0.0
 			if spec.kind == kindUtility {
 				obj = share
 			}
-			y, err := prob.AddVariable(fmt.Sprintf("y:%s:%s", aid, e), 0, 1, obj)
+			y, err := prob.AddVariable(fmt.Sprintf("y:%s:%s", aid, idx.DataTypeAt(int(e))), 0, 1, obj)
 			if err != nil {
 				return fmt.Errorf("core: add pair variable: %w", err)
 			}
-			if err := o.addLinkRows(prob, f, e, y, o.corroborationLevel()); err != nil {
+			if err := o.addLinkRows(prob, f, int(e), y, o.corroborationLevel()); err != nil {
 				return err
 			}
 			attackTerms = append(attackTerms, lp.Term{Var: y, Coeff: 1})
 		}
 
 		if spec.kind == kindCost {
-			required, err := o.requiredEvidence(aid, spec.targets)
+			required, err := o.requiredEvidence(a, spec.targets)
 			if err != nil {
 				return err
 			}
@@ -334,14 +353,15 @@ func (o *Optimizer) addExpandedCoverage(prob *ilp.Problem, f *formulation, spec 
 // relaxation bound tightens, which prunes branch-and-bound nodes that a
 // fractional right-hand side would leave open. A tiny slack absorbs
 // floating-point rounding on both the product and the row itself.
-func (o *Optimizer) requiredEvidence(aid model.AttackID, targets *CoverageTargets) (float64, error) {
-	ev := o.idx.AttackEvidence(aid)
+func (o *Optimizer) requiredEvidence(a int, targets *CoverageTargets) (float64, error) {
+	aid := o.idx.System().Attacks[a].ID
+	ev := o.idx.AttackData(a)
 	target := targets.Target(aid)
 	required := target * float64(len(ev))
 	k := o.corroborationLevel()
 	achievableCount := 0
 	for _, e := range ev {
-		if len(o.idx.Producers(e)) >= k {
+		if len(o.idx.DataProducers(int(e))) >= k {
 			achievableCount++
 		}
 	}
@@ -359,26 +379,12 @@ func (o *Optimizer) requiredEvidence(aid model.AttackID, targets *CoverageTarget
 	return math.Ceil(required-1e-9) - 1e-9, nil
 }
 
-// monitorIndex locates a monitor's position in the sorted monitor list.
-func (f *formulation) monitorIndex(id model.MonitorID) int {
-	lo, hi := 0, len(f.monitors)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if f.monitors[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // decode extracts the selected deployment from an ILP solution.
-func (f *formulation) decode(sol *ilp.Solution) *model.Deployment {
+func (f *formulation) decode(idx *model.Index, sol *ilp.Solution) *model.Deployment {
 	d := model.NewDeployment()
-	for i, id := range f.monitors {
-		if sol.Value(f.xVars[i]) > 0.5 {
-			d.Add(id)
+	for m, v := range f.xVars {
+		if sol.Value(v) > 0.5 {
+			d.Add(idx.MonitorAt(m))
 		}
 	}
 	return d

@@ -103,7 +103,7 @@ func (o *Optimizer) MinCostWarm(targets CoverageTargets, prior *Prior) (*Result,
 // from the remapped prior basis.
 func (o *Optimizer) solveWarm(spec formulationSpec, prior *Prior) (*Result, *Prior, error) {
 	minCost := spec.kind == kindCost
-	if len(o.idx.MonitorIDs()) == 0 || o.cfg.certify || o.shouldDecompose() {
+	if o.idx.NumMonitors() == 0 || o.cfg.certify || o.shouldDecompose() {
 		// No reuse: certified searches must discover their own incumbent,
 		// and the decomposition coordinator has no single root basis.
 		res, _, err := o.solve(spec, nil)
@@ -312,9 +312,9 @@ func (o *Optimizer) seedVector(f *formulation, set *model.Deployment) []float64 
 		return n >= k
 	}
 	x := make([]float64, f.prob.NumVariables())
-	for i, id := range f.monitors {
-		if set.Contains(id) {
-			x[f.xVars[i]] = 1
+	for m, v := range f.xVars {
+		if set.Contains(o.idx.MonitorAt(m)) {
+			x[v] = 1
 		}
 	}
 	for v := 0; v < len(x); v++ {
@@ -384,9 +384,16 @@ func (o *Optimizer) MeetsTargets(targets CoverageTargets, d *model.Deployment) (
 	if err := o.validateTargets(targets); err != nil {
 		return false, err
 	}
-	k := o.corroborationLevel()
+	k := int32(o.corroborationLevel())
+	counts := make([]int32, o.idx.NumDataTypes())
+	for _, m := range d.Ordinals(o.idx) {
+		for _, e := range o.idx.MonitorData(int(m)) {
+			counts[e]++
+		}
+	}
 	for _, aid := range o.idx.AttackIDs() {
-		required, err := o.requiredEvidence(aid, &targets)
+		a, _ := o.idx.AttackOrdinal(aid)
+		required, err := o.requiredEvidence(a, &targets)
 		if err != nil {
 			return false, err
 		}
@@ -394,14 +401,8 @@ func (o *Optimizer) MeetsTargets(targets CoverageTargets, d *model.Deployment) (
 			continue
 		}
 		covered := 0
-		for _, e := range o.idx.AttackEvidence(aid) {
-			n := 0
-			for _, mid := range o.idx.Producers(e) {
-				if d.Contains(mid) {
-					n++
-				}
-			}
-			if n >= k {
+		for _, e := range o.idx.AttackData(a) {
+			if counts[e] >= k {
 				covered++
 			}
 		}

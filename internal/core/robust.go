@@ -60,22 +60,18 @@ func (o *Optimizer) MaxExpectedUtility(budget, failProb float64) (*RobustResult,
 
 // addLevelCoverage encodes the concave expected-coverage objective with
 // per-rank coverage level variables.
-func (o *Optimizer) addLevelCoverage(prob *ilp.Problem, f *formulation, spec formulationSpec, contrib map[model.DataTypeID]float64) error {
-	for _, d := range o.idx.DataTypeIDs() {
-		share, relevant := contrib[d]
-		if !relevant {
-			continue
-		}
-		producers := o.idx.Producers(d)
-		if len(producers) == 0 {
+func (o *Optimizer) addLevelCoverage(prob *ilp.Problem, f *formulation, spec formulationSpec) error {
+	for d := 0; d < o.idx.NumDataTypes(); d++ {
+		producers := o.idx.DataProducers(d)
+		if !o.idx.Relevant(d) || len(producers) == 0 {
 			continue
 		}
 		// Level variables: z_j = 1 when at least j producers are deployed;
 		// the marginal value of the j-th producer is share * q^(j-1)*(1-q).
 		terms := make([]lp.Term, 0, 2*len(producers))
-		marginal := share * (1 - spec.failProb)
+		marginal := o.idx.Contribution(d) * (1 - spec.failProb)
 		for j := 1; j <= len(producers); j++ {
-			z, err := prob.AddVariable(fmt.Sprintf("z:%s:%d", d, j), 0, 1, marginal)
+			z, err := prob.AddVariable(fmt.Sprintf("z:%s:%d", o.idx.DataTypeAt(d), j), 0, 1, marginal)
 			if err != nil {
 				return fmt.Errorf("core: add level variable: %w", err)
 			}
@@ -83,8 +79,8 @@ func (o *Optimizer) addLevelCoverage(prob *ilp.Problem, f *formulation, spec for
 			marginal *= spec.failProb
 		}
 		// sum_j z_j <= sum of deployed producers.
-		terms = f.appendProducers(terms, producers, "")
-		if _, err := prob.AddConstraint("levels:"+string(d), terms, lp.LE, 0); err != nil {
+		terms = f.appendProducers(terms, producers, -1)
+		if _, err := prob.AddConstraint("levels:"+string(o.idx.DataTypeAt(d)), terms, lp.LE, 0); err != nil {
 			return fmt.Errorf("core: level row: %w", err)
 		}
 	}

@@ -292,7 +292,7 @@ func (o *Optimizer) maxUtilityChained(budget float64, ch *sweepChain) (*Result, 
 		return nil, fmt.Errorf("%w: %v", ErrBadBudget, budget)
 	}
 	spec := formulationSpec{kind: kindUtility, budget: budget, fixed: model.NewDeployment()}
-	if len(o.idx.MonitorIDs()) == 0 {
+	if o.idx.NumMonitors() == 0 {
 		res, _, err := o.solve(spec, nil)
 		return res, err
 	}

@@ -80,42 +80,3 @@ func (o *Optimizer) MaxWeighted(budget float64, weights Objectives) (*WeightedRe
 		RedundancyValue: metrics.MeanRedundancy(o.idx, res.Deployment),
 	}, nil
 }
-
-// richnessFields counts the fields of each relevant data type (a
-// field-less data type counts one, matching metrics.Richness) and their
-// total: covering data type d adds fields[d]/total to the richness metric.
-func richnessFields(idx *model.Index, relevant map[model.DataTypeID]float64) (map[model.DataTypeID]int, int) {
-	fields := make(map[model.DataTypeID]int, len(relevant))
-	total := 0
-	for d := range relevant {
-		info, ok := idx.DataType(d)
-		if !ok {
-			continue
-		}
-		nf := max(len(info.Fields), 1)
-		fields[d] = nf
-		total += nf
-	}
-	return fields, total
-}
-
-// corroboratedRichness is the richness a weighted ILP scores at
-// corroboration level k: the field share of the relevant data types with at
-// least k deployed producers. At k = 1 it is metrics.Richness.
-func corroboratedRichness(idx *model.Index, d *model.Deployment, k int) float64 {
-	if k <= 1 {
-		return metrics.Richness(idx, d)
-	}
-	fields, total := richnessFields(idx, evidenceContribution(idx))
-	if total == 0 {
-		return 0
-	}
-	covered := metrics.CoveredData(idx, d)
-	hit := 0
-	for dt, nf := range fields {
-		if covered[dt] >= k {
-			hit += nf
-		}
-	}
-	return float64(hit) / float64(total)
-}

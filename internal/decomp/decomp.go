@@ -23,7 +23,6 @@ package decomp
 import (
 	"context"
 	"errors"
-	"sort"
 	"time"
 
 	"secmon/internal/graph"
@@ -207,60 +206,18 @@ func (k *KernelStats) add(o KernelStats) {
 	k.FactorNnz = max(k.FactorNnz, o.FactorNnz)
 }
 
-// instance is the shared flat view of an indexed system.
+// instance is an indexed system with the monitors a solve keeps fixed; the
+// index's ordinal views are the flat arrays the coordinators work on.
 type instance struct {
-	idx      *model.Index
-	monitors []model.MonitorID
-	cost     []float64 // total cost per monitor
-	fixed    []bool    // forced into the deployment, cost not charged
-	data     []model.DataTypeID
-	contrib  []float64 // utility contribution per data type
-	evidence []bool    // data type appears in some attack's evidence
-	prod     [][]int   // producing monitor indices per data type
-	produces [][]int   // produced data indices per monitor
+	idx   *model.Index
+	fixed []bool // by monitor ordinal: forced into the deployment, cost not charged
 }
 
 func newInstance(idx *model.Index, fixed *model.Deployment) *instance {
-	in := &instance{
-		idx:      idx,
-		monitors: idx.MonitorIDs(),
-		data:     idx.DataTypeIDs(),
-	}
-	in.cost = make([]float64, len(in.monitors))
-	in.fixed = make([]bool, len(in.monitors))
-	in.produces = make([][]int, len(in.monitors))
-	dataIdx := make(map[model.DataTypeID]int, len(in.data))
-	for i, d := range in.data {
-		dataIdx[d] = i
-	}
-	for i, id := range in.monitors {
-		m, _ := idx.Monitor(id)
-		in.cost[i] = m.TotalCost()
-		in.fixed[i] = fixed != nil && fixed.Contains(id)
-		for _, d := range m.Produces {
-			in.produces[i] = append(in.produces[i], dataIdx[d])
-		}
-	}
-	in.contrib = make([]float64, len(in.data))
-	in.evidence = make([]bool, len(in.data))
-	total := idx.System().TotalAttackWeight()
-	if total > 0 {
-		for _, a := range idx.System().Attacks {
-			ev := idx.AttackEvidence(a.ID)
-			if len(ev) == 0 {
-				continue
-			}
-			share := model.AttackWeight(a) / (total * float64(len(ev)))
-			for _, e := range ev {
-				in.contrib[dataIdx[e]] += share
-				in.evidence[dataIdx[e]] = true
-			}
-		}
-	}
-	in.prod = make([][]int, len(in.data))
-	for i, ds := range in.produces {
-		for _, d := range ds {
-			in.prod[d] = append(in.prod[d], i)
+	in := &instance{idx: idx, fixed: make([]bool, idx.NumMonitors())}
+	if fixed != nil {
+		for _, m := range fixed.Ordinals(idx) {
+			in.fixed[m] = true
 		}
 	}
 	return in
@@ -269,13 +226,13 @@ func newInstance(idx *model.Index, fixed *model.Deployment) *instance {
 // utilityOf computes the exact utility of a monitor selection.
 func (in *instance) utilityOf(sel []bool) float64 {
 	u := 0.0
-	for d, producers := range in.prod {
-		if in.contrib[d] == 0 {
+	for d := range in.idx.NumDataTypes() {
+		if in.idx.Contribution(d) == 0 {
 			continue
 		}
-		for _, m := range producers {
+		for _, m := range in.idx.DataProducers(d) {
 			if sel[m] {
-				u += in.contrib[d]
+				u += in.idx.Contribution(d)
 				break
 			}
 		}
@@ -288,21 +245,21 @@ func (in *instance) chargedCostOf(sel []bool) float64 {
 	c := 0.0
 	for m, on := range sel {
 		if on && !in.fixed[m] {
-			c += in.cost[m]
+			c += in.idx.MonitorCost(m)
 		}
 	}
 	return c
 }
 
-// selection converts a monitor mask into a sorted identifier list.
+// selection converts a monitor mask into a sorted identifier list: ordinal
+// order is identifier order.
 func (in *instance) selection(sel []bool) []model.MonitorID {
 	var ids []model.MonitorID
 	for m, on := range sel {
 		if on {
-			ids = append(ids, in.monitors[m])
+			ids = append(ids, in.idx.MonitorAt(m))
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	return ids
 }
 

@@ -22,7 +22,7 @@ import (
 // single segment; the caller should then run the monolithic solver.
 func MaxUtility(idx *model.Index, budget float64, fixed *model.Deployment, cfg Config) (*Result, error) {
 	in := newInstance(idx, fixed)
-	cfg = cfg.withDefaults(len(in.monitors))
+	cfg = cfg.withDefaults(in.idx.NumMonitors())
 	co, err := newCoordinator(in, budget, cfg)
 	if err != nil {
 		return nil, err
@@ -125,13 +125,13 @@ func newCoordinator(in *instance, budget float64, cfg Config) (*coordinator, err
 		co.workers = runtime.GOMAXPROCS(0)
 	}
 
-	co.active = make([]bool, len(in.data))
-	for d := range in.data {
-		co.active[d] = in.contrib[d] > 0 && len(in.prod[d]) > 0
+	co.active = make([]bool, in.idx.NumDataTypes())
+	for d := range in.idx.NumDataTypes() {
+		co.active[d] = in.idx.Contribution(d) > 0 && len(in.idx.DataProducers(d)) > 0
 	}
-	co.relev = make([]bool, len(in.monitors))
-	for m, ds := range in.produces {
-		for _, d := range ds {
+	co.relev = make([]bool, in.idx.NumMonitors())
+	for m := range co.relev {
+		for _, d := range in.idx.MonitorData(m) {
 			if co.active[d] {
 				co.relev[m] = true
 				break
@@ -179,15 +179,15 @@ func (co *coordinator) buildSegments(part *graph.IndexPartition) error {
 	}
 
 	cutCount := 0
-	co.segOf = make([]int, len(in.monitors))
-	for m := range in.monitors {
+	co.segOf = make([]int, in.idx.NumMonitors())
+	for m := range in.idx.NumMonitors() {
 		co.segOf[m] = -1
 		if !co.relev[m] {
 			continue
 		}
 		// Active segments this monitor produces into, with group counts.
 		perSeg := map[int]int{}
-		for _, d := range in.produces[m] {
+		for _, d := range in.idx.MonitorData(m) {
 			if co.active[d] {
 				perSeg[part.GroupSegment[d]]++
 			}
@@ -213,7 +213,7 @@ func (co *coordinator) buildSegments(part *graph.IndexPartition) error {
 		for _, s := range segs {
 			mm := &member{isCut: cut}
 			if !in.fixed[m] && s == primary {
-				mm.charge = in.cost[m]
+				mm.charge = in.idx.MonitorCost(m)
 			}
 			segMon[s][m] = mm
 		}
@@ -246,7 +246,7 @@ func (co *coordinator) buildSegments(part *graph.IndexPartition) error {
 			mm := segMon[s][m]
 			sg.charge[j] = mm.charge
 			sg.isCut[j] = mm.isCut
-			v, err := sg.prob.AddBinaryVariable("x:"+string(in.monitors[m]), 0)
+			v, err := sg.prob.AddBinaryVariable("x:"+string(in.idx.MonitorAt(m)), 0)
 			if err != nil {
 				return fmt.Errorf("decomp: segment variable: %w", err)
 			}
@@ -260,15 +260,15 @@ func (co *coordinator) buildSegments(part *graph.IndexPartition) error {
 			xOf[m] = v
 		}
 		for _, d := range sg.groups {
-			z, err := sg.prob.AddVariable("z:"+string(in.data[d]), 0, 1, in.contrib[d])
+			z, err := sg.prob.AddVariable("z:"+string(in.idx.DataTypeAt(d)), 0, 1, in.idx.Contribution(d))
 			if err != nil {
 				return fmt.Errorf("decomp: coverage variable: %w", err)
 			}
 			terms := []lp.Term{{Var: z, Coeff: 1}}
-			for _, p := range in.prod[d] {
-				terms = append(terms, lp.Term{Var: xOf[p], Coeff: -1})
+			for _, p := range in.idx.DataProducers(d) {
+				terms = append(terms, lp.Term{Var: xOf[int(p)], Coeff: -1})
 			}
-			if _, err := sg.prob.AddConstraint("link:"+string(in.data[d]), terms, lp.LE, 0); err != nil {
+			if _, err := sg.prob.AddConstraint("link:"+string(in.idx.DataTypeAt(d)), terms, lp.LE, 0); err != nil {
 				return fmt.Errorf("decomp: link row: %w", err)
 			}
 		}
@@ -408,15 +408,15 @@ func (sg *segment) extract(co *coordinator, sol *ilp.Solution) plan {
 		if sg.isCut[j] {
 			p.cut = append(p.cut, m)
 		} else {
-			p.localCost += in.cost[m]
+			p.localCost += in.idx.MonitorCost(m)
 		}
 		key.WriteString(strconv.Itoa(m))
 		key.WriteByte(',')
 	}
 	for _, d := range sg.groups {
-		for _, pr := range in.prod[d] {
-			if selected[pr] || in.fixed[pr] {
-				p.utility += in.contrib[d]
+		for _, pr := range in.idx.DataProducers(d) {
+			if selected[int(pr)] || in.fixed[pr] {
+				p.utility += in.idx.Contribution(d)
 				break
 			}
 		}
@@ -539,7 +539,7 @@ func (co *coordinator) offerIncumbent(sel []bool) bool {
 // the worst utility-per-cost monitors.
 func (co *coordinator) unionIncumbent(evals []segEval) {
 	in := co.in
-	sel := make([]bool, len(in.monitors))
+	sel := make([]bool, in.idx.NumMonitors())
 	for m, f := range in.fixed {
 		sel[m] = f
 	}
@@ -554,27 +554,27 @@ func (co *coordinator) unionIncumbent(evals []segEval) {
 	}
 	for cost > co.budget+1e-9 {
 		// Covered-by-one counts locate each monitor's sole contributions.
-		cnt := make([]int, len(in.data))
+		cnt := make([]int, in.idx.NumDataTypes())
 		for m, on := range sel {
 			if !on {
 				continue
 			}
-			for _, d := range in.produces[m] {
+			for _, d := range in.idx.MonitorData(m) {
 				cnt[d]++
 			}
 		}
 		drop, dropScore := -1, 0.0
 		for m, on := range sel {
-			if !on || in.fixed[m] || in.cost[m] <= 0 {
+			if !on || in.fixed[m] || in.idx.MonitorCost(m) <= 0 {
 				continue
 			}
 			loss := 0.0
-			for _, d := range in.produces[m] {
+			for _, d := range in.idx.MonitorData(m) {
 				if cnt[d] == 1 {
-					loss += in.contrib[d]
+					loss += in.idx.Contribution(int(d))
 				}
 			}
-			score := loss / in.cost[m]
+			score := loss / in.idx.MonitorCost(m)
 			if drop < 0 || score < dropScore {
 				drop, dropScore = m, score
 			}
@@ -583,7 +583,7 @@ func (co *coordinator) unionIncumbent(evals []segEval) {
 			return
 		}
 		sel[drop] = false
-		cost -= in.cost[drop]
+		cost -= in.idx.MonitorCost(drop)
 	}
 	co.offerIncumbent(sel)
 }
@@ -599,7 +599,7 @@ func (co *coordinator) run() (*Result, error) {
 	co.bestUB = 0
 	for d, a := range co.active {
 		if a {
-			co.bestUB += in.contrib[d]
+			co.bestUB += in.idx.Contribution(d)
 		}
 	}
 	// Greedy incumbent: the anytime floor, no LP required.
@@ -608,12 +608,12 @@ func (co *coordinator) run() (*Result, error) {
 
 	// The lambda=0 plan is analytic: every relevant monitor. If it fits the
 	// budget, covering everything coverable is optimal outright.
-	all := make([]bool, len(in.monitors))
+	all := make([]bool, in.idx.NumMonitors())
 	allCost := 0.0
-	for m := range in.monitors {
+	for m := range in.idx.NumMonitors() {
 		all[m] = co.relev[m] || in.fixed[m]
 		if all[m] && !in.fixed[m] {
-			allCost += in.cost[m]
+			allCost += in.idx.MonitorCost(m)
 		}
 	}
 	if allCost <= co.budget+1e-9 {
@@ -721,20 +721,20 @@ func (co *coordinator) lagrangianExclusions() []bool {
 	}
 	in := co.in
 	tol := 1e-9 * (1 + math.Abs(co.bestLB))
-	excl := make([]bool, len(in.monitors))
+	excl := make([]bool, in.idx.NumMonitors())
 	n := 0
-	for m := range in.monitors {
+	for m := range in.idx.NumMonitors() {
 		if in.fixed[m] || !co.relev[m] {
 			continue
 		}
 		gain := 0.0
-		for _, d := range in.produces[m] {
+		for _, d := range in.idx.MonitorData(m) {
 			if co.active[d] {
-				gain += in.contrib[d]
+				gain += in.idx.Contribution(int(d))
 			}
 		}
 		for _, dp := range co.duals {
-			if dp.bound-dp.lambda*in.cost[m]+gain < co.bestLB-tol {
+			if dp.bound-dp.lambda*in.idx.MonitorCost(m)+gain < co.bestLB-tol {
 				excl[m] = true
 				n++
 				break
@@ -754,17 +754,17 @@ func (co *coordinator) recordGap() {
 func (co *coordinator) maxDensity() float64 {
 	in := co.in
 	best := 0.0
-	for m := range in.monitors {
-		if in.fixed[m] || !co.relev[m] || in.cost[m] <= 1e-12 {
+	for m := range in.idx.NumMonitors() {
+		if in.fixed[m] || !co.relev[m] || in.idx.MonitorCost(m) <= 1e-12 {
 			continue
 		}
 		u := 0.0
-		for _, d := range in.produces[m] {
+		for _, d := range in.idx.MonitorData(m) {
 			if co.active[d] {
-				u += in.contrib[d]
+				u += in.idx.Contribution(int(d))
 			}
 		}
-		if r := u / in.cost[m]; r > best {
+		if r := u / in.idx.MonitorCost(m); r > best {
 			best = r
 		}
 	}
@@ -775,11 +775,11 @@ func (co *coordinator) maxDensity() float64 {
 // monitor with the best marginal utility per unit cost that still fits.
 func (co *coordinator) greedy() []bool {
 	in := co.in
-	sel := make([]bool, len(in.monitors))
-	covered := make([]bool, len(in.data))
+	sel := make([]bool, in.idx.NumMonitors())
+	covered := make([]bool, in.idx.NumDataTypes())
 	cover := func(m int) {
 		sel[m] = true
-		for _, d := range in.produces[m] {
+		for _, d := range in.idx.MonitorData(m) {
 			covered[d] = true
 		}
 	}
@@ -790,27 +790,27 @@ func (co *coordinator) greedy() []bool {
 	}
 	gain := func(m int) float64 {
 		g := 0.0
-		for _, d := range in.produces[m] {
+		for _, d := range in.idx.MonitorData(m) {
 			if co.active[d] && !covered[d] {
-				g += in.contrib[d]
+				g += in.idx.Contribution(int(d))
 			}
 		}
 		return g
 	}
 	h := &candHeap{}
-	for m := range in.monitors {
+	for m := range in.idx.NumMonitors() {
 		if in.fixed[m] || !co.relev[m] {
 			continue
 		}
-		heap.Push(h, scored{m, gain(m) / costOr1(in.cost[m])})
+		heap.Push(h, scored{m, gain(m) / costOr1(in.idx.MonitorCost(m))})
 	}
 	remaining := co.budget
 	for h.Len() > 0 {
 		c := heap.Pop(h).(scored)
-		if in.cost[c.m] > remaining+1e-12 || sel[c.m] {
+		if in.idx.MonitorCost(c.m) > remaining+1e-12 || sel[c.m] {
 			continue
 		}
-		fresh := gain(c.m) / costOr1(in.cost[c.m])
+		fresh := gain(c.m) / costOr1(in.idx.MonitorCost(c.m))
 		if h.Len() > 0 && fresh < (*h)[0].score-1e-15 {
 			heap.Push(h, scored{c.m, fresh}) // stale score: re-queue
 			continue
@@ -819,7 +819,7 @@ func (co *coordinator) greedy() []bool {
 			break
 		}
 		cover(c.m)
-		remaining -= in.cost[c.m]
+		remaining -= in.idx.MonitorCost(c.m)
 	}
 	return sel
 }
@@ -910,7 +910,7 @@ func (co *coordinator) solveMaster(fix map[int]int8) ([]bool, bool) {
 				return nil, false
 			}
 		}
-		budgetTerms = append(budgetTerms, lp.Term{Var: w, Coeff: in.cost[m]})
+		budgetTerms = append(budgetTerms, lp.Term{Var: w, Coeff: in.idx.MonitorCost(m)})
 		terms := append(cutUse[m], lp.Term{Var: w, Coeff: float64(-len(cutUse[m]))})
 		if _, err := prob.AddConstraint("use:"+strconv.Itoa(m), terms, lp.LE, 0); err != nil {
 			return nil, false
@@ -929,7 +929,7 @@ func (co *coordinator) solveMaster(fix map[int]int8) ([]bool, bool) {
 	co.lpIters += sol.LPIterations
 	co.kernel.add(kernelOf(sol))
 
-	sel := make([]bool, len(in.monitors))
+	sel := make([]bool, in.idx.NumMonitors())
 	for m, f := range in.fixed {
 		sel[m] = f
 	}
@@ -1099,9 +1099,9 @@ func (co *coordinator) branchAndPrice() (ilp.Status, bool, bool) {
 // plans disagree; the costliest such monitor in either case.
 func (co *coordinator) pickBranch(evals []segEval, masterSel []bool, fix map[int]int8) int {
 	in := co.in
-	chosen := make(map[int]int, len(in.monitors)) // monitor -> copies selecting it
-	copies := make(map[int]int, len(in.monitors)) // monitor -> copies existing
-	planSel := make([]bool, len(in.monitors))
+	chosen := make(map[int]int, in.idx.NumMonitors()) // monitor -> copies selecting it
+	copies := make(map[int]int, in.idx.NumMonitors()) // monitor -> copies existing
+	planSel := make([]bool, in.idx.NumMonitors())
 	for i := range evals {
 		sg := co.segs[i]
 		for j, m := range sg.mons {
@@ -1125,20 +1125,20 @@ func (co *coordinator) pickBranch(evals []segEval, masterSel []bool, fix map[int
 		if _, fixed := fix[m]; fixed || skip(m) {
 			continue
 		}
-		if chosen[m] > 0 && chosen[m] < n && in.cost[m] > bestCost {
-			best, bestCost = m, in.cost[m]
+		if chosen[m] > 0 && chosen[m] < n && in.idx.MonitorCost(m) > bestCost {
+			best, bestCost = m, in.idx.MonitorCost(m)
 		}
 	}
 	if best >= 0 {
 		return best
 	}
 	if masterSel != nil {
-		for m := range in.monitors {
+		for m := range in.idx.NumMonitors() {
 			if _, fixed := fix[m]; fixed || in.fixed[m] || skip(m) {
 				continue
 			}
-			if masterSel[m] != planSel[m] && in.cost[m] > bestCost {
-				best, bestCost = m, in.cost[m]
+			if masterSel[m] != planSel[m] && in.idx.MonitorCost(m) > bestCost {
+				best, bestCost = m, in.idx.MonitorCost(m)
 			}
 		}
 	}
@@ -1150,12 +1150,12 @@ func (co *coordinator) pickBranch(evals []segEval, masterSel []bool, fix map[int
 	// overflow candidate of the knapsack kink. Fixing it either way cuts the
 	// relaxed optimum away from the fractional point, so the Lagrangian bound
 	// tightens down the tree and the search terminates without the oracle.
-	for m := range in.monitors {
+	for m := range in.idx.NumMonitors() {
 		if _, fixed := fix[m]; fixed || in.fixed[m] || skip(m) {
 			continue
 		}
-		if planSel[m] && in.cost[m] > bestCost {
-			best, bestCost = m, in.cost[m]
+		if planSel[m] && in.idx.MonitorCost(m) > bestCost {
+			best, bestCost = m, in.idx.MonitorCost(m)
 		}
 	}
 	return best
@@ -1170,10 +1170,10 @@ func (co *coordinator) oracle() (*Result, error) {
 	in := co.in
 	co.stats.OracleFallbacks++
 	prob := ilp.NewProblem(lp.Maximize)
-	xv := make([]lp.VarID, len(in.monitors))
+	xv := make([]lp.VarID, in.idx.NumMonitors())
 	var budgetTerms []lp.Term
-	for m, id := range in.monitors {
-		v, err := prob.AddBinaryVariable("x:"+string(id), 0)
+	for m := range xv {
+		v, err := prob.AddBinaryVariable("x:"+string(in.idx.MonitorAt(m)), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -1191,26 +1191,26 @@ func (co *coordinator) oracle() (*Result, error) {
 			}
 			continue
 		}
-		budgetTerms = append(budgetTerms, lp.Term{Var: v, Coeff: in.cost[m]})
+		budgetTerms = append(budgetTerms, lp.Term{Var: v, Coeff: in.idx.MonitorCost(m)})
 	}
 	if _, err := prob.AddConstraint("budget", budgetTerms, lp.LE, co.budget); err != nil {
 		return nil, err
 	}
 	var zData []int
-	for d := range in.data {
+	for d := range in.idx.NumDataTypes() {
 		if !co.active[d] {
 			continue
 		}
-		z, err := prob.AddVariable("z:"+string(in.data[d]), 0, 1, in.contrib[d])
+		z, err := prob.AddVariable("z:"+string(in.idx.DataTypeAt(d)), 0, 1, in.idx.Contribution(d))
 		if err != nil {
 			return nil, err
 		}
 		zData = append(zData, d)
 		terms := []lp.Term{{Var: z, Coeff: 1}}
-		for _, p := range in.prod[d] {
+		for _, p := range in.idx.DataProducers(d) {
 			terms = append(terms, lp.Term{Var: xv[p], Coeff: -1})
 		}
-		if _, err := prob.AddConstraint("link:"+string(in.data[d]), terms, lp.LE, 0); err != nil {
+		if _, err := prob.AddConstraint("link:"+string(in.idx.DataTypeAt(d)), terms, lp.LE, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -1218,20 +1218,20 @@ func (co *coordinator) oracle() (*Result, error) {
 	if co.bestSel != nil {
 		// The seed must respect the exclusion bounds; an incumbent can carry
 		// a provably useless monitor (greedy leftovers), so strip those.
-		seedSel := make([]bool, len(in.monitors))
+		seedSel := make([]bool, in.idx.NumMonitors())
 		for m, on := range co.bestSel {
 			seedSel[m] = on && !(co.excl != nil && co.excl[m])
 		}
-		seed := make([]float64, len(in.monitors)+len(zData))
+		seed := make([]float64, in.idx.NumMonitors()+len(zData))
 		for m, on := range seedSel {
 			if on {
 				seed[m] = 1
 			}
 		}
 		for zi, d := range zData {
-			for _, p := range in.prod[d] {
+			for _, p := range in.idx.DataProducers(d) {
 				if seedSel[p] {
-					seed[len(in.monitors)+zi] = 1
+					seed[in.idx.NumMonitors()+zi] = 1
 					break
 				}
 			}
@@ -1252,8 +1252,8 @@ func (co *coordinator) oracle() (*Result, error) {
 		// strictly worse than that incumbent, so the global bound is the
 		// reduced bound lifted to at least the incumbent.
 		if sol.Objective > co.bestLB {
-			sel := make([]bool, len(in.monitors))
-			for m := range in.monitors {
+			sel := make([]bool, in.idx.NumMonitors())
+			for m := range in.idx.NumMonitors() {
 				sel[m] = sol.Value(xv[m]) > 0.5
 			}
 			co.bestLB = sol.Objective

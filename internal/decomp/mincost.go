@@ -23,12 +23,12 @@ import (
 // Returns ErrNotDecomposable for single-component instances.
 func MinCost(idx *model.Index, required map[model.AttackID]float64, fixed *model.Deployment, cfg Config) (*Result, error) {
 	in := newInstance(idx, fixed)
-	cfg = cfg.withDefaults(len(in.monitors))
+	cfg = cfg.withDefaults(in.idx.NumMonitors())
 	start := time.Now()
 
 	part := graph.PartitionIndex(idx, true, graph.PartitionConfig{
 		// One segment per component: components are the exact decomposition.
-		MaxSegments:    len(in.monitors) + len(in.data) + 1,
+		MaxSegments:    in.idx.NumMonitors() + in.idx.NumDataTypes() + 1,
 		ComponentsOnly: true,
 	})
 	if part.Segments < 2 {
@@ -36,22 +36,14 @@ func MinCost(idx *model.Index, required map[model.AttackID]float64, fixed *model
 	}
 
 	// Attacks follow their evidence: the clique coupling guarantees every
-	// evidence item of an attack shares one component. The data-type index
-	// map is built once and shared read-only by every segment solve.
-	dataIdx := make(map[model.DataTypeID]int, len(in.data))
-	for i, d := range in.data {
-		dataIdx[d] = i
-	}
+	// evidence item of an attack shares one component.
 	segAttacks := make([][]model.AttackID, part.Segments)
 	for _, aid := range idx.AttackIDs() {
-		if required[aid] <= 0 {
+		a, _ := idx.AttackOrdinal(aid)
+		if required[aid] <= 0 || len(idx.AttackData(a)) == 0 {
 			continue
 		}
-		ev := idx.AttackEvidence(aid)
-		if len(ev) == 0 {
-			continue
-		}
-		s := part.GroupSegment[dataIdx[ev[0]]]
+		s := part.GroupSegment[idx.AttackData(a)[0]]
 		segAttacks[s] = append(segAttacks[s], aid)
 	}
 
@@ -59,7 +51,7 @@ func MinCost(idx *model.Index, required map[model.AttackID]float64, fixed *model
 	res.Stats.Segments = part.Segments
 	res.Stats.Components = part.Stats.Components
 
-	sel := make([]bool, len(in.monitors))
+	sel := make([]bool, in.idx.NumMonitors())
 	for m, f := range in.fixed {
 		sel[m] = f
 	}
@@ -87,7 +79,7 @@ func MinCost(idx *model.Index, required map[model.AttackID]float64, fixed *model
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			outs[s] = solveMinCostSegment(in, idx, part, dataIdx, s, segAttacks[s], required, cfg)
+			outs[s] = solveMinCostSegment(in, part, s, segAttacks[s], required, cfg)
 		}(s)
 	}
 	wg.Wait()
@@ -145,7 +137,7 @@ func MinCost(idx *model.Index, required map[model.AttackID]float64, fixed *model
 
 // solveMinCostSegment builds and solves the compact MinCost formulation
 // restricted to one component's monitors, data types and attacks.
-func solveMinCostSegment(in *instance, idx *model.Index, part *graph.IndexPartition, dataIdx map[model.DataTypeID]int, s int, attacks []model.AttackID, required map[model.AttackID]float64, cfg Config) (out struct {
+func solveMinCostSegment(in *instance, part *graph.IndexPartition, s int, attacks []model.AttackID, required map[model.AttackID]float64, cfg Config) (out struct {
 	sol *ilp.Solution
 	xv  []lp.VarID
 	mon []int
@@ -156,11 +148,11 @@ func solveMinCostSegment(in *instance, idx *model.Index, part *graph.IndexPartit
 	out.xv = make([]lp.VarID, len(out.mon))
 	xOf := make(map[int]lp.VarID, len(out.mon))
 	for j, m := range out.mon {
-		objCost := in.cost[m]
+		objCost := in.idx.MonitorCost(m)
 		if in.fixed[m] {
 			objCost = 0
 		}
-		v, err := prob.AddBinaryVariable("x:"+string(in.monitors[m]), objCost)
+		v, err := prob.AddBinaryVariable("x:"+string(in.idx.MonitorAt(m)), objCost)
 		if err != nil {
 			out.err = fmt.Errorf("decomp: mincost variable: %w", err)
 			return
@@ -179,20 +171,20 @@ func solveMinCostSegment(in *instance, idx *model.Index, part *graph.IndexPartit
 	// Coverage variables for the segment's producible evidence data types.
 	zOf := make(map[int]lp.VarID)
 	for _, d := range part.SegmentGroups[s] {
-		if !in.evidence[d] || len(in.prod[d]) == 0 {
+		if !in.idx.Relevant(d) || len(in.idx.DataProducers(d)) == 0 {
 			continue
 		}
-		z, err := prob.AddVariable("z:"+string(in.data[d]), 0, 1, 0)
+		z, err := prob.AddVariable("z:"+string(in.idx.DataTypeAt(d)), 0, 1, 0)
 		if err != nil {
 			out.err = err
 			return
 		}
 		zOf[d] = z
 		terms := []lp.Term{{Var: z, Coeff: 1}}
-		for _, p := range in.prod[d] {
-			terms = append(terms, lp.Term{Var: xOf[p], Coeff: -1})
+		for _, p := range in.idx.DataProducers(d) {
+			terms = append(terms, lp.Term{Var: xOf[int(p)], Coeff: -1})
 		}
-		if _, err := prob.AddConstraint("link:"+string(in.data[d]), terms, lp.LE, 0); err != nil {
+		if _, err := prob.AddConstraint("link:"+string(in.idx.DataTypeAt(d)), terms, lp.LE, 0); err != nil {
 			out.err = err
 			return
 		}
@@ -200,8 +192,9 @@ func solveMinCostSegment(in *instance, idx *model.Index, part *graph.IndexPartit
 
 	for _, aid := range attacks {
 		var terms []lp.Term
-		for _, e := range idx.AttackEvidence(aid) {
-			if z, ok := zOf[dataIdx[e]]; ok {
+		a, _ := in.idx.AttackOrdinal(aid)
+		for _, e := range in.idx.AttackData(a) {
+			if z, ok := zOf[int(e)]; ok {
 				terms = append(terms, lp.Term{Var: z, Coeff: 1})
 			}
 		}
@@ -211,7 +204,7 @@ func solveMinCostSegment(in *instance, idx *model.Index, part *graph.IndexPartit
 		}
 	}
 
-	if seed := greedyMinCostSeed(in, idx, part, dataIdx, s, attacks, required, zOf); seed != nil {
+	if seed := greedyMinCostSeed(in, part, s, attacks, required, zOf); seed != nil {
 		x := make([]float64, len(out.mon)+len(zOf))
 		zPos := make(map[int]int, len(zOf))
 		pos := len(out.mon)
@@ -224,8 +217,8 @@ func solveMinCostSegment(in *instance, idx *model.Index, part *graph.IndexPartit
 		for j, m := range out.mon {
 			if seed[m] {
 				x[j] = 1
-				for _, d := range in.produces[m] {
-					if p, ok := zPos[d]; ok {
+				for _, d := range in.idx.MonitorData(m) {
+					if p, ok := zPos[int(d)]; ok {
 						x[p] = 1
 					}
 				}
@@ -244,15 +237,16 @@ func solveMinCostSegment(in *instance, idx *model.Index, part *graph.IndexPartit
 // costliest first. A tight incumbent lets the exact solve prune instead of
 // search; returns nil when greedy cannot reach feasibility (the ILP then
 // decides feasibility itself).
-func greedyMinCostSeed(in *instance, idx *model.Index, part *graph.IndexPartition, dataIdx map[model.DataTypeID]int, s int, attacks []model.AttackID, required map[model.AttackID]float64, zOf map[int]lp.VarID) map[int]bool {
+func greedyMinCostSeed(in *instance, part *graph.IndexPartition, s int, attacks []model.AttackID, required map[model.AttackID]float64, zOf map[int]lp.VarID) map[int]bool {
 	// need[d] lists attacks short on coverage that count data type d.
 	short := make([]float64, len(attacks))
 	evs := make([][]int, len(attacks))
 	usedBy := make(map[int][]int) // data index -> attack positions counting it
 	for i, aid := range attacks {
 		short[i] = required[aid]
-		for _, e := range idx.AttackEvidence(aid) {
-			d := dataIdx[e]
+		a, _ := in.idx.AttackOrdinal(aid)
+		for _, e := range in.idx.AttackData(a) {
+			d := int(e)
 			if _, ok := zOf[d]; !ok {
 				continue
 			}
@@ -274,7 +268,8 @@ func greedyMinCostSeed(in *instance, idx *model.Index, part *graph.IndexPartitio
 	for m, f := range in.fixed {
 		if f && member[m] {
 			sel[m] = true
-			for _, d := range in.produces[m] {
+			for _, d := range in.idx.MonitorData(m) {
+				d := int(d)
 				if _, ok := zOf[d]; ok && !covered[d] {
 					covered[d] = true
 					credit(d, -1)
@@ -297,7 +292,8 @@ func greedyMinCostSeed(in *instance, idx *model.Index, part *graph.IndexPartitio
 				continue
 			}
 			gain := 0.0
-			for _, d := range in.produces[m] {
+			for _, d := range in.idx.MonitorData(m) {
+				d := int(d)
 				if _, ok := zOf[d]; !ok || covered[d] {
 					continue
 				}
@@ -312,8 +308,8 @@ func greedyMinCostSeed(in *instance, idx *model.Index, part *graph.IndexPartitio
 				continue
 			}
 			score := gain
-			if in.cost[m] > 1e-12 {
-				score = gain / in.cost[m]
+			if in.idx.MonitorCost(m) > 1e-12 {
+				score = gain / in.idx.MonitorCost(m)
 			} else {
 				score = gain * 1e12
 			}
@@ -325,7 +321,8 @@ func greedyMinCostSeed(in *instance, idx *model.Index, part *graph.IndexPartitio
 			return nil // infeasible for greedy; let the ILP prove it
 		}
 		sel[best] = true
-		for _, d := range in.produces[best] {
+		for _, d := range in.idx.MonitorData(best) {
+			d := int(d)
 			if _, ok := zOf[d]; ok && !covered[d] {
 				covered[d] = true
 				credit(d, -1)
@@ -340,10 +337,11 @@ func greedyMinCostSeed(in *instance, idx *model.Index, part *graph.IndexPartitio
 			order = append(order, m)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool { return in.cost[order[a]] > in.cost[order[b]] })
+	sort.Slice(order, func(a, b int) bool { return in.idx.MonitorCost(order[a]) > in.idx.MonitorCost(order[b]) })
 	prodCount := make(map[int]int)
 	for m := range sel {
-		for _, d := range in.produces[m] {
+		for _, d := range in.idx.MonitorData(m) {
+			d := int(d)
 			if _, ok := zOf[d]; ok {
 				prodCount[d]++
 			}
@@ -351,7 +349,8 @@ func greedyMinCostSeed(in *instance, idx *model.Index, part *graph.IndexPartitio
 	}
 	for _, m := range order {
 		loss := make(map[int]float64)
-		for _, d := range in.produces[m] {
+		for _, d := range in.idx.MonitorData(m) {
+			d := int(d)
 			if _, zok := zOf[d]; zok && prodCount[d] == 1 {
 				for _, i := range usedBy[d] {
 					loss[i]++
@@ -369,7 +368,8 @@ func greedyMinCostSeed(in *instance, idx *model.Index, part *graph.IndexPartitio
 			continue
 		}
 		delete(sel, m)
-		for _, d := range in.produces[m] {
+		for _, d := range in.idx.MonitorData(m) {
+			d := int(d)
 			if _, zok := zOf[d]; zok {
 				prodCount[d]--
 				if prodCount[d] == 0 {

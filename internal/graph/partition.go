@@ -424,31 +424,23 @@ type IndexPartition struct {
 func PartitionIndex(idx *model.Index, coupleAttacks bool, cfg PartitionConfig) *IndexPartition {
 	mons := idx.MonitorIDs()
 	data := idx.DataTypeIDs()
-	gidx := make(map[model.DataTypeID]int, len(data))
-	for i, d := range data {
-		gidx[d] = i
+	ints := func(ords []int32) []int {
+		out := make([]int, len(ords))
+		for i, o := range ords {
+			out[i] = int(o)
+		}
+		return out
 	}
 	itemGroups := make([][]int, len(mons))
-	for i, id := range mons {
-		m, _ := idx.Monitor(id)
-		gs := make([]int, 0, len(m.Produces))
-		for _, d := range m.Produces {
-			gs = append(gs, gidx[d])
-		}
-		itemGroups[i] = gs
+	for i := range mons {
+		itemGroups[i] = ints(idx.MonitorData(i))
 	}
 	if coupleAttacks {
 		cfg.GroupCliques = nil
 		for _, a := range idx.AttackIDs() {
-			ev := idx.AttackEvidence(a)
-			if len(ev) < 2 {
-				continue
+			if ao, _ := idx.AttackOrdinal(a); len(idx.AttackData(ao)) >= 2 {
+				cfg.GroupCliques = append(cfg.GroupCliques, ints(idx.AttackData(ao)))
 			}
-			clique := make([]int, 0, len(ev))
-			for _, d := range ev {
-				clique = append(clique, gidx[d])
-			}
-			cfg.GroupCliques = append(cfg.GroupCliques, clique)
 		}
 	}
 	p := PartitionBipartite(len(mons), len(data), func(i int) []int { return itemGroups[i] }, cfg)

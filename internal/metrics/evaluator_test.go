@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -77,6 +78,60 @@ func TestEvaluatorReload(t *testing.T) {
 	for k := 1; k <= 2; k++ {
 		if got, want := e.CorroboratedUtility(k), CorroboratedUtility(idx, d, k); !approx(got, want) {
 			t.Fatalf("k=%d after reload: evaluator=%v pure=%v", k, got, want)
+		}
+	}
+}
+
+// TestEvaluatorChangePreview checks the swap preview against applying the
+// swap: when no evidence data type crosses the threshold the score is
+// unchanged bit for bit, and otherwise delta is the score change up to
+// rounding.
+func TestEvaluatorChangePreview(t *testing.T) {
+	idx := testIndex(t)
+	n := idx.NumMonitors()
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		e := NewEvaluator(idx)
+		in := make([]bool, n)
+		for m := range in {
+			if in[m] = rng.Intn(2) == 0; in[m] {
+				e.AddOrdinal(m)
+			}
+		}
+		out, add := -1, -1
+		for m := range in {
+			if in[m] && (out < 0 || rng.Intn(2) == 0) {
+				out = m
+			}
+			if !in[m] && (add < 0 || rng.Intn(2) == 0) {
+				add = m
+			}
+		}
+		if rng.Intn(3) == 0 {
+			add = -1
+		}
+		for k := 1; k <= 2; k++ {
+			before := e.CorroboratedUtility(k)
+			crossed, delta := e.Change(out, add, k)
+			if out >= 0 {
+				e.RemoveOrdinal(out)
+			}
+			if add >= 0 {
+				e.AddOrdinal(add)
+			}
+			after := e.CorroboratedUtility(k)
+			if !crossed && math.Float64bits(after) != math.Float64bits(before) {
+				t.Fatalf("trial %d k=%d: no crossing but score %v -> %v", trial, k, before, after)
+			}
+			if math.Abs(after-before-delta) > 1e-12 {
+				t.Fatalf("trial %d k=%d: delta %v, score change %v", trial, k, delta, after-before)
+			}
+			if add >= 0 {
+				e.RemoveOrdinal(add)
+			}
+			if out >= 0 {
+				e.AddOrdinal(out)
+			}
 		}
 	}
 }

@@ -19,6 +19,8 @@
 package metrics
 
 import (
+	"slices"
+
 	"secmon/internal/model"
 )
 
@@ -27,55 +29,71 @@ import (
 // not covered are absent from the map.
 func CoveredData(idx *model.Index, d *model.Deployment) map[model.DataTypeID]int {
 	out := make(map[model.DataTypeID]int)
-	for _, id := range d.IDs() {
-		m, ok := idx.Monitor(id)
-		if !ok {
-			continue
-		}
-		for _, dt := range m.Produces {
-			out[dt]++
+	for o, n := range coverCounts(idx, d) {
+		if n > 0 {
+			out[idx.DataTypeAt(o)] = int(n)
 		}
 	}
 	return out
 }
 
-// AttackCoverage returns the fraction of the attack's evidence union that is
-// covered by the deployment, in [0, 1]. Unknown attacks yield 0.
-func AttackCoverage(idx *model.Index, d *model.Deployment, a model.AttackID) float64 {
-	covered := CoveredData(idx, d)
-	return attackCoverage(idx, covered, a)
+// coverCounts returns, per data type ordinal, the number of deployed
+// monitors producing it. Monitors the index does not know are skipped.
+func coverCounts(idx *model.Index, d *model.Deployment) []int32 {
+	counts := make([]int32, idx.NumDataTypes())
+	d.Each(func(id model.MonitorID) {
+		if m, ok := idx.MonitorOrdinal(id); ok {
+			for _, o := range idx.MonitorData(m) {
+				counts[o]++
+			}
+		}
+	})
+	return counts
 }
 
-func attackCoverage(idx *model.Index, covered map[model.DataTypeID]int, a model.AttackID) float64 {
-	ev := idx.AttackEvidence(a)
-	if len(ev) == 0 {
-		return 0
-	}
+// coveredAtLeast counts the evidence ordinals with at least k producers.
+func coveredAtLeast(counts []int32, ev []int32, k int32) int {
 	n := 0
-	for _, e := range ev {
-		if covered[e] > 0 {
+	for _, o := range ev {
+		if counts[o] >= k {
 			n++
 		}
 	}
-	return float64(n) / float64(len(ev))
+	return n
+}
+
+// AttackCoverage returns the fraction of the attack's evidence union that is
+// covered by the deployment, in [0, 1]. Unknown attacks yield 0.
+func AttackCoverage(idx *model.Index, d *model.Deployment, a model.AttackID) float64 {
+	ai, ok := idx.AttackOrdinal(a)
+	if !ok {
+		return 0
+	}
+	return attackCoverage(idx.AttackData(ai), coverCounts(idx, d))
+}
+
+func attackCoverage(ev []int32, counts []int32) float64 {
+	if len(ev) == 0 {
+		return 0
+	}
+	return float64(coveredAtLeast(counts, ev, 1)) / float64(len(ev))
 }
 
 // Utility returns the detection utility of the deployment: the sum over
 // attacks of weight times coverage, normalized by the total attack weight.
 // It lies in [0, 1]; 1 means every evidence item of every attack is covered.
 func Utility(idx *model.Index, d *model.Deployment) float64 {
-	covered := CoveredData(idx, d)
-	return utilityFromCovered(idx, covered)
+	return utilityFromCounts(idx, coverCounts(idx, d))
 }
 
-func utilityFromCovered(idx *model.Index, covered map[model.DataTypeID]int) float64 {
+func utilityFromCounts(idx *model.Index, counts []int32) float64 {
 	total := idx.System().TotalAttackWeight()
 	if total == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, a := range idx.System().Attacks {
-		sum += model.AttackWeight(a) * attackCoverage(idx, covered, a.ID)
+	for a, attack := range idx.System().Attacks {
+		sum += model.AttackWeight(attack) * attackCoverage(idx.AttackData(a), counts)
 	}
 	return sum / total
 }
@@ -84,8 +102,25 @@ func utilityFromCovered(idx *model.Index, covered map[model.DataTypeID]int) floa
 // the achievable ceiling, which is below 1 when some evidence has no
 // producer.
 func MaxUtility(idx *model.Index) float64 {
-	all := model.NewDeployment(idx.MonitorIDs()...)
-	return Utility(idx, all)
+	counts := make([]int32, idx.NumDataTypes())
+	for o := range counts {
+		counts[o] = int32(len(idx.DataProducers(o)))
+	}
+	return utilityFromCounts(idx, counts)
+}
+
+// RelevantFields counts the fields of every security-relevant data type
+// ordinal (those appearing as evidence of some attack; a field-less one
+// still carries one observable fact), zero for the others: covering data
+// type o adds fields[o] over their sum to Richness.
+func RelevantFields(idx *model.Index) []int {
+	fields := make([]int, idx.NumDataTypes())
+	for _, dt := range idx.System().DataTypes {
+		if o, _ := idx.DataTypeOrdinal(dt.ID); idx.Relevant(o) {
+			fields[o] = max(len(dt.Fields), 1)
+		}
+	}
+	return fields
 }
 
 // Richness returns the data richness of the deployment: the fraction of
@@ -93,40 +128,36 @@ func MaxUtility(idx *model.Index) float64 {
 // appearing as evidence of some attack) that the deployment records. Returns
 // 1 when no relevant fields exist.
 func Richness(idx *model.Index, d *model.Deployment) float64 {
-	relevant := make(map[model.DataTypeID]bool)
-	for _, a := range idx.System().Attacks {
-		for _, e := range idx.AttackEvidence(a.ID) {
-			relevant[e] = true
+	if r, ok := CorroboratedRichness(idx, d, 1); ok {
+		return r
+	}
+	return 1
+}
+
+// CorroboratedRichness returns the field share of the security-relevant
+// data types produced by at least k deployed monitors (k <= 1 is Richness),
+// and false when no relevant fields exist.
+func CorroboratedRichness(idx *model.Index, d *model.Deployment, k int) (float64, bool) {
+	counts := coverCounts(idx, d)
+	total, hit := 0, 0
+	for o, nf := range RelevantFields(idx) {
+		total += nf
+		if counts[o] >= int32(max(k, 1)) {
+			hit += nf
 		}
 	}
-	covered := CoveredData(idx, d)
-	totalFields, coveredFields := 0, 0
-	for dt := range relevant {
-		info, ok := idx.DataType(dt)
-		if !ok {
-			continue
-		}
-		nf := len(info.Fields)
-		if nf == 0 {
-			nf = 1 // a field-less data type still carries one observable fact
-		}
-		totalFields += nf
-		if covered[dt] > 0 {
-			coveredFields += nf
-		}
+	if total == 0 {
+		return 0, false
 	}
-	if totalFields == 0 {
-		return 1
-	}
-	return float64(coveredFields) / float64(totalFields)
+	return float64(hit) / float64(total), true
 }
 
 // EvidenceRedundancy returns the number of deployed monitors that produce
 // the given data type.
 func EvidenceRedundancy(idx *model.Index, d *model.Deployment, dt model.DataTypeID) int {
 	n := 0
-	for _, id := range d.IDs() {
-		if idx.MonitorProduces(id, dt) {
+	for _, id := range idx.Producers(dt) {
+		if d.Contains(id) {
 			n++
 		}
 	}
@@ -137,17 +168,12 @@ func EvidenceRedundancy(idx *model.Index, d *model.Deployment, dt model.DataType
 // all attacks (counting each attack's evidence union once, weighted equally).
 // Uncovered evidence contributes zero; returns 0 when there is no evidence.
 func MeanRedundancy(idx *model.Index, d *model.Deployment) float64 {
-	covered := CoveredData(idx, d)
+	counts := coverCounts(idx, d)
 	total, sum := 0, 0
-	seen := make(map[model.DataTypeID]bool)
-	for _, a := range idx.System().Attacks {
-		for _, e := range idx.AttackEvidence(a.ID) {
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
+	for o, n := range counts {
+		if idx.Relevant(o) {
 			total++
-			sum += covered[e]
+			sum += int(n)
 		}
 	}
 	if total == 0 {
@@ -160,18 +186,12 @@ func MeanRedundancy(idx *model.Index, d *model.Deployment) float64 {
 // corroborated by at least two independent deployed monitors, in [0, 1].
 // Corroboration protects detection against a compromised or faulty monitor.
 func AttackConfidence(idx *model.Index, d *model.Deployment, a model.AttackID) float64 {
-	ev := idx.AttackEvidence(a)
-	if len(ev) == 0 {
+	ai, ok := idx.AttackOrdinal(a)
+	if !ok || len(idx.AttackData(ai)) == 0 {
 		return 0
 	}
-	covered := CoveredData(idx, d)
-	n := 0
-	for _, e := range ev {
-		if covered[e] >= 2 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(ev))
+	ev := idx.AttackData(ai)
+	return float64(coveredAtLeast(coverCounts(idx, d), ev, 2)) / float64(len(ev))
 }
 
 // Distinguishability returns the fraction of unordered attack pairs whose
@@ -179,43 +199,29 @@ func AttackConfidence(idx *model.Index, d *model.Deployment, a model.AttackID) f
 // attacks with identical observable evidence cannot be told apart during
 // forensic analysis. Returns 1 when the system has fewer than two attacks.
 func Distinguishability(idx *model.Index, d *model.Deployment) float64 {
-	attacks := idx.AttackIDs()
+	attacks := idx.System().Attacks
 	if len(attacks) < 2 {
 		return 1
 	}
-	covered := CoveredData(idx, d)
-	signatures := make([]map[model.DataTypeID]bool, len(attacks))
-	for i, a := range attacks {
-		sig := make(map[model.DataTypeID]bool)
-		for _, e := range idx.AttackEvidence(a) {
-			if covered[e] > 0 {
-				sig[e] = true
+	counts := coverCounts(idx, d)
+	signatures := make([][]int32, len(attacks))
+	for a := range attacks {
+		for _, o := range idx.AttackData(a) {
+			if counts[o] > 0 {
+				signatures[a] = append(signatures[a], o)
 			}
 		}
-		signatures[i] = sig
 	}
 	pairs, distinct := 0, 0
-	for i := 0; i < len(attacks); i++ {
-		for j := i + 1; j < len(attacks); j++ {
+	for i := range signatures {
+		for j := i + 1; j < len(signatures); j++ {
 			pairs++
-			if !equalSignature(signatures[i], signatures[j]) {
+			if !slices.Equal(signatures[i], signatures[j]) {
 				distinct++
 			}
 		}
 	}
 	return float64(distinct) / float64(pairs)
-}
-
-func equalSignature(a, b map[model.DataTypeID]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // CorroboratedUtility returns the detection utility counting only evidence
@@ -231,20 +237,15 @@ func CorroboratedUtility(idx *model.Index, d *model.Deployment, k int) float64 {
 	if total == 0 {
 		return 0
 	}
-	covered := CoveredData(idx, d)
+	counts := coverCounts(idx, d)
 	sum := 0.0
-	for _, a := range idx.System().Attacks {
-		ev := idx.AttackEvidence(a.ID)
+	for a, attack := range idx.System().Attacks {
+		ev := idx.AttackData(a)
 		if len(ev) == 0 {
 			continue
 		}
-		n := 0
-		for _, e := range ev {
-			if covered[e] >= k {
-				n++
-			}
-		}
-		sum += model.AttackWeight(a) * float64(n) / float64(len(ev))
+		n := coveredAtLeast(counts, ev, int32(k))
+		sum += model.AttackWeight(attack) * float64(n) / float64(len(ev))
 	}
 	return sum / total
 }
@@ -259,11 +260,11 @@ func DetectionRate(idx *model.Index, d *model.Deployment) float64 {
 	if total == 0 {
 		return 0
 	}
-	covered := CoveredData(idx, d)
+	counts := coverCounts(idx, d)
 	sum := 0.0
-	for _, a := range idx.System().Attacks {
-		if attackCoverage(idx, covered, a.ID) > 0 {
-			sum += model.AttackWeight(a)
+	for a, attack := range idx.System().Attacks {
+		if coveredAtLeast(counts, idx.AttackData(a), 1) > 0 {
+			sum += model.AttackWeight(attack)
 		}
 	}
 	return sum / total
@@ -275,13 +276,16 @@ func DetectionRate(idx *model.Index, d *model.Deployment) float64 {
 // when no step is observable. Earlier detection leaves less time for damage.
 func AttackEarliness(idx *model.Index, d *model.Deployment, a model.AttackID) float64 {
 	attack, ok := idx.Attack(a)
-	if !ok || len(attack.Steps) == 0 {
+	if !ok {
 		return 0
 	}
-	covered := CoveredData(idx, d)
+	return attackEarliness(idx, attack, coverCounts(idx, d))
+}
+
+func attackEarliness(idx *model.Index, attack *model.Attack, counts []int32) float64 {
 	for i, step := range attack.Steps {
 		for _, e := range step.Evidence {
-			if covered[e] > 0 {
+			if o, ok := idx.DataTypeOrdinal(e); ok && counts[o] > 0 {
 				return 1 - float64(i)/float64(len(attack.Steps))
 			}
 		}
@@ -291,14 +295,17 @@ func AttackEarliness(idx *model.Index, d *model.Deployment, a model.AttackID) fl
 
 // Earliness returns the attack-weight-normalized mean of AttackEarliness:
 // the deployment's overall ability to catch attacks in their early stages.
+// Coverage is counted once for all attacks.
 func Earliness(idx *model.Index, d *model.Deployment) float64 {
 	total := idx.System().TotalAttackWeight()
 	if total == 0 {
 		return 0
 	}
+	counts := coverCounts(idx, d)
 	sum := 0.0
-	for _, a := range idx.System().Attacks {
-		sum += model.AttackWeight(a) * AttackEarliness(idx, d, a.ID)
+	for i := range idx.System().Attacks {
+		attack := &idx.System().Attacks[i]
+		sum += model.AttackWeight(*attack) * attackEarliness(idx, attack, counts)
 	}
 	return sum / total
 }
@@ -318,20 +325,20 @@ func ExpectedUtility(idx *model.Index, d *model.Deployment, failProb float64) fl
 	if total == 0 {
 		return 0
 	}
-	covered := CoveredData(idx, d)
+	counts := coverCounts(idx, d)
 	sum := 0.0
-	for _, a := range idx.System().Attacks {
-		ev := idx.AttackEvidence(a.ID)
+	for a, attack := range idx.System().Attacks {
+		ev := idx.AttackData(a)
 		if len(ev) == 0 {
 			continue
 		}
 		expected := 0.0
-		for _, e := range ev {
-			if r := covered[e]; r > 0 {
+		for _, o := range ev {
+			if r := int(counts[o]); r > 0 {
 				expected += 1 - pow(failProb, r)
 			}
 		}
-		sum += model.AttackWeight(a) * expected / float64(len(ev))
+		sum += model.AttackWeight(attack) * expected / float64(len(ev))
 	}
 	return sum / total
 }

@@ -50,7 +50,7 @@ func Evaluate(idx *model.Index, d *model.Deployment) *Report {
 	r := &Report{
 		Deployment:          d.IDs(),
 		Cost:                Cost(idx, d),
-		Utility:             utilityFromCovered(idx, covered),
+		Utility:             Utility(idx, d),
 		MaxUtility:          MaxUtility(idx),
 		Richness:            Richness(idx, d),
 		MeanRedundancy:      MeanRedundancy(idx, d),

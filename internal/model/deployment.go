@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -50,7 +50,7 @@ func (d *Deployment) IDs() []MonitorID {
 	for id := range d.members {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -90,12 +90,23 @@ func (d *Deployment) Union(other *Deployment) *Deployment {
 // the low bits otherwise).
 func (d *Deployment) Cost(idx *Index) float64 {
 	sum := 0.0
-	for _, id := range d.IDs() {
-		if m, ok := idx.Monitor(id); ok {
-			sum += m.TotalCost()
-		}
+	for _, m := range d.Ordinals(idx) {
+		sum += idx.cost[m]
 	}
 	return sum
+}
+
+// Ordinals returns the ascending index ordinals of the deployed monitors the
+// index knows, skipping the others. Ordinal order is identifier order.
+func (d *Deployment) Ordinals(idx *Index) []int32 {
+	out := make([]int32, 0, len(d.members))
+	for id := range d.members {
+		if m, ok := idx.monitors[id]; ok {
+			out = append(out, m)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // String renders the deployment as a sorted, comma-separated identifier list.

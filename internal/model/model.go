@@ -12,7 +12,7 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // AssetID identifies an asset within a System.
@@ -110,7 +110,7 @@ func (a Attack) EvidenceUnion() []DataTypeID {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -15,97 +15,122 @@ var ErrInvalidSystem = errors.New("model: invalid system")
 // attack participates in the evidence relation. It returns the first problem
 // found.
 func (s *System) Validate() error {
-	assets := make(map[AssetID]bool, len(s.Assets))
-	for _, a := range s.Assets {
+	_, err := s.validate()
+	return err
+}
+
+// positions maps every identifier of a validated system to its position in
+// the system's slices.
+type positions struct {
+	assets    map[AssetID]int32
+	dataTypes map[DataTypeID]int32
+	monitors  map[MonitorID]int32
+	attacks   map[AttackID]int32
+}
+
+// validate is Validate, returning the identifier positions it builds on the
+// way so NewIndex does not build them again.
+func (s *System) validate() (*positions, error) {
+	p := &positions{
+		assets:    make(map[AssetID]int32, len(s.Assets)),
+		dataTypes: make(map[DataTypeID]int32, len(s.DataTypes)),
+		monitors:  make(map[MonitorID]int32, len(s.Monitors)),
+		attacks:   make(map[AttackID]int32, len(s.Attacks)),
+	}
+	for i, a := range s.Assets {
 		if a.ID == "" {
-			return fmt.Errorf("%w: asset with empty id (name %q)", ErrInvalidSystem, a.Name)
+			return nil, fmt.Errorf("%w: asset with empty id (name %q)", ErrInvalidSystem, a.Name)
 		}
-		if assets[a.ID] {
-			return fmt.Errorf("%w: duplicate asset id %q", ErrInvalidSystem, a.ID)
+		if _, dup := p.assets[a.ID]; dup {
+			return nil, fmt.Errorf("%w: duplicate asset id %q", ErrInvalidSystem, a.ID)
 		}
 		if a.Criticality < 0 || math.IsNaN(a.Criticality) || math.IsInf(a.Criticality, 0) {
-			return fmt.Errorf("%w: asset %q has criticality %v", ErrInvalidSystem, a.ID, a.Criticality)
+			return nil, fmt.Errorf("%w: asset %q has criticality %v", ErrInvalidSystem, a.ID, a.Criticality)
 		}
-		assets[a.ID] = true
+		p.assets[a.ID] = int32(i)
+	}
+	knownAsset := func(id AssetID) bool {
+		_, ok := p.assets[id]
+		return id == "" || ok
 	}
 
-	data := make(map[DataTypeID]bool, len(s.DataTypes))
-	for _, d := range s.DataTypes {
+	for i, d := range s.DataTypes {
 		if d.ID == "" {
-			return fmt.Errorf("%w: data type with empty id (name %q)", ErrInvalidSystem, d.Name)
+			return nil, fmt.Errorf("%w: data type with empty id (name %q)", ErrInvalidSystem, d.Name)
 		}
-		if data[d.ID] {
-			return fmt.Errorf("%w: duplicate data type id %q", ErrInvalidSystem, d.ID)
+		if _, dup := p.dataTypes[d.ID]; dup {
+			return nil, fmt.Errorf("%w: duplicate data type id %q", ErrInvalidSystem, d.ID)
 		}
-		if d.Asset != "" && !assets[d.Asset] {
-			return fmt.Errorf("%w: data type %q references unknown asset %q", ErrInvalidSystem, d.ID, d.Asset)
+		if !knownAsset(d.Asset) {
+			return nil, fmt.Errorf("%w: data type %q references unknown asset %q", ErrInvalidSystem, d.ID, d.Asset)
 		}
-		data[d.ID] = true
+		p.dataTypes[d.ID] = int32(i)
 	}
 
-	monitors := make(map[MonitorID]bool, len(s.Monitors))
-	for _, m := range s.Monitors {
+	// seenBy[d] is one more than the position of the last monitor listing
+	// data type d: a duplicate within one monitor finds its own mark.
+	seenBy := make([]int32, len(s.DataTypes))
+	for i, m := range s.Monitors {
 		if m.ID == "" {
-			return fmt.Errorf("%w: monitor with empty id (name %q)", ErrInvalidSystem, m.Name)
+			return nil, fmt.Errorf("%w: monitor with empty id (name %q)", ErrInvalidSystem, m.Name)
 		}
-		if monitors[m.ID] {
-			return fmt.Errorf("%w: duplicate monitor id %q", ErrInvalidSystem, m.ID)
+		if _, dup := p.monitors[m.ID]; dup {
+			return nil, fmt.Errorf("%w: duplicate monitor id %q", ErrInvalidSystem, m.ID)
 		}
-		if m.Asset != "" && !assets[m.Asset] {
-			return fmt.Errorf("%w: monitor %q references unknown asset %q", ErrInvalidSystem, m.ID, m.Asset)
+		if !knownAsset(m.Asset) {
+			return nil, fmt.Errorf("%w: monitor %q references unknown asset %q", ErrInvalidSystem, m.ID, m.Asset)
 		}
 		if len(m.Produces) == 0 {
-			return fmt.Errorf("%w: monitor %q produces no data", ErrInvalidSystem, m.ID)
+			return nil, fmt.Errorf("%w: monitor %q produces no data", ErrInvalidSystem, m.ID)
 		}
-		seen := make(map[DataTypeID]bool, len(m.Produces))
 		for _, d := range m.Produces {
-			if !data[d] {
-				return fmt.Errorf("%w: monitor %q produces unknown data type %q", ErrInvalidSystem, m.ID, d)
+			pos, ok := p.dataTypes[d]
+			if !ok {
+				return nil, fmt.Errorf("%w: monitor %q produces unknown data type %q", ErrInvalidSystem, m.ID, d)
 			}
-			if seen[d] {
-				return fmt.Errorf("%w: monitor %q lists data type %q twice", ErrInvalidSystem, m.ID, d)
+			if seenBy[pos] == int32(i)+1 {
+				return nil, fmt.Errorf("%w: monitor %q lists data type %q twice", ErrInvalidSystem, m.ID, d)
 			}
-			seen[d] = true
+			seenBy[pos] = int32(i) + 1
 		}
 		if err := validCost(m.CapitalCost); err != nil {
-			return fmt.Errorf("%w: monitor %q capital cost: %v", ErrInvalidSystem, m.ID, err)
+			return nil, fmt.Errorf("%w: monitor %q capital cost: %v", ErrInvalidSystem, m.ID, err)
 		}
 		if err := validCost(m.OperationalCost); err != nil {
-			return fmt.Errorf("%w: monitor %q operational cost: %v", ErrInvalidSystem, m.ID, err)
+			return nil, fmt.Errorf("%w: monitor %q operational cost: %v", ErrInvalidSystem, m.ID, err)
 		}
-		monitors[m.ID] = true
+		p.monitors[m.ID] = int32(i)
 	}
 
-	attacks := make(map[AttackID]bool, len(s.Attacks))
-	for _, a := range s.Attacks {
+	for i, a := range s.Attacks {
 		if a.ID == "" {
-			return fmt.Errorf("%w: attack with empty id (name %q)", ErrInvalidSystem, a.Name)
+			return nil, fmt.Errorf("%w: attack with empty id (name %q)", ErrInvalidSystem, a.Name)
 		}
-		if attacks[a.ID] {
-			return fmt.Errorf("%w: duplicate attack id %q", ErrInvalidSystem, a.ID)
+		if _, dup := p.attacks[a.ID]; dup {
+			return nil, fmt.Errorf("%w: duplicate attack id %q", ErrInvalidSystem, a.ID)
 		}
 		if a.Weight < 0 || math.IsNaN(a.Weight) || math.IsInf(a.Weight, 0) {
-			return fmt.Errorf("%w: attack %q has weight %v", ErrInvalidSystem, a.ID, a.Weight)
+			return nil, fmt.Errorf("%w: attack %q has weight %v", ErrInvalidSystem, a.ID, a.Weight)
 		}
 		if len(a.Steps) == 0 {
-			return fmt.Errorf("%w: attack %q has no steps", ErrInvalidSystem, a.ID)
+			return nil, fmt.Errorf("%w: attack %q has no steps", ErrInvalidSystem, a.ID)
 		}
 		evidenceTotal := 0
 		for si, step := range a.Steps {
 			for _, e := range step.Evidence {
-				if !data[e] {
-					return fmt.Errorf("%w: attack %q step %d references unknown data type %q",
+				if _, ok := p.dataTypes[e]; !ok {
+					return nil, fmt.Errorf("%w: attack %q step %d references unknown data type %q",
 						ErrInvalidSystem, a.ID, si, e)
 				}
 				evidenceTotal++
 			}
 		}
 		if evidenceTotal == 0 {
-			return fmt.Errorf("%w: attack %q has no evidence in any step", ErrInvalidSystem, a.ID)
+			return nil, fmt.Errorf("%w: attack %q has no evidence in any step", ErrInvalidSystem, a.ID)
 		}
-		attacks[a.ID] = true
+		p.attacks[a.ID] = int32(i)
 	}
-	return nil
+	return p, nil
 }
 
 func validCost(c float64) error {
