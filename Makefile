@@ -74,14 +74,20 @@ stress-smoke:
 		-count=1 -stress.n=100
 
 # Branch-and-bound search lane: the ilp package, the core parallel and
-# feature equivalence suites, and the core entry-point table (every public
+# feature equivalence suites, the core entry-point table (every public
 # exact solve must carry the kernel pin, worker count and context into its
-# solve) at GOMAXPROCS 1 and 2 (-cpu 1,2). Solves that use the default
-# worker count then run both the inline one-worker search and the
-# multi-worker goroutine path, whatever the host's CPU count.
+# solve) and the request-spec surface table (the same specs through
+# `secmon optimize`, /v1/optimize and the tenant store: bad specs refused by
+# all three, the server's before its cache and admission; valid specs
+# decode to one canonical core.Spec, and their kernel pin, worker count and
+# decomposition mode reach the solve) at GOMAXPROCS 1 and 2 (-cpu 1,2).
+# Solves that use the optimizer's default worker count then run both the
+# inline one-worker search and the multi-worker goroutine path, whatever
+# the host's CPU count, and an unset spec worker count must still run one.
 search-equivalence:
 	$(GO) test ./internal/ilp -cpu 1,2 -count=1
 	$(GO) test ./internal/core -run 'TestParallelEquiv|TestFeatureEquiv|TestEntryPointSettings' -cpu 1,2 -count=1
+	$(GO) test ./cmd/secmon -run 'TestSpecSurfaces' -cpu 1,2 -count=1
 
 # Sparse-vs-dense kernel cross-check: every solver feature mode under both
 # sparse kernels and worker counts {1,4} against the dense tableau oracle,

@@ -60,8 +60,8 @@ func cmdSimulateCampaign(args []string, out io.Writer) error {
 	var d *model.Deployment
 	switch {
 	case *budgetFraction >= 0:
-		opt := core.NewOptimizer(idx)
-		res, err := opt.MaxUtility(idx.System().TotalMonitorCost() * *budgetFraction)
+		spec := core.Spec{BudgetFraction: budgetFraction}
+		res, err := core.NewOptimizer(idx, spec.Options()...).Run(spec)
 		if err != nil {
 			return fmt.Errorf("simulate-campaign: optimize deployment: %w", err)
 		}

@@ -3,12 +3,14 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"secmon/internal/casestudy"
@@ -16,7 +18,6 @@ import (
 	"secmon/internal/core"
 	"secmon/internal/experiment"
 	"secmon/internal/graph"
-	"secmon/internal/lp"
 	"secmon/internal/metrics"
 	"secmon/internal/model"
 	"secmon/internal/report"
@@ -208,31 +209,64 @@ func cmdEvaluate(args []string, out io.Writer) error {
 	return nil
 }
 
+// specFlags registers the request-spec flags optimize and mutate share;
+// their values land in the returned core.Spec. A budget, fraction or target
+// flag that is not given stays unset.
+func specFlags(fs *flag.FlagSet) *core.Spec {
+	spec := &core.Spec{}
+	floatVar := func(p **float64, name, usage string) {
+		fs.Func(name, usage, func(v string) error {
+			x, err := strconv.ParseFloat(v, 64)
+			*p = &x
+			return err
+		})
+	}
+	floatVar(&spec.Budget, "budget", "budget for max-utility optimization")
+	floatVar(&spec.BudgetFraction, "budget-fraction", "budget as a fraction of total monitor cost (wins over -budget)")
+	fs.BoolVar(&spec.MinCost, "min-cost", false, "minimize cost for a coverage target instead")
+	floatVar(&spec.Target, "target", "global coverage target in [0, 1] for -min-cost (default 1)")
+	fs.IntVar(&spec.Corroboration, "corroboration", 1, "require every counted evidence item to be seen by k monitors")
+	fs.IntVar(&spec.Workers, "workers", 1, "branch-and-bound workers (0 or 1 = one deterministic worker; more may report another member of an exact tie)")
+	fs.StringVar(&spec.Kernel, "kernel", "", "LP simplex kernel: empty for auto (sparse LU for dual-start problems such as MinCost and for bases of 256+ rows, the eta file below that), lu or sparse (sparse LU with Forrest-Tomlin updates everywhere), eta (eta-file kernel) or dense (tableau oracle, cold solves only)")
+	fs.BoolVar(&spec.Certify, "certify", false, "emit a machine-checkable optimality certificate and verify it")
+	return spec
+}
+
+// checkSpec validates a spec filled by specFlags, naming the flags a
+// MaxUtility spec without a budget is missing.
+func checkSpec(spec *core.Spec) error {
+	if !spec.MinCost && spec.Budget == nil && spec.BudgetFraction == nil {
+		return errors.New("provide -budget or -budget-fraction (or -min-cost)")
+	}
+	return spec.Validate()
+}
+
+// optimizeSpecHook, when set, receives the validated spec of every optimize
+// run; tests use it to compare the CLI's spec with the other surfaces'.
+var optimizeSpecHook func(core.Spec)
+
 func cmdOptimize(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
 	modelPath := fs.String("model", "", "JSON system model (default: case study)")
-	budget := fs.Float64("budget", -1, "budget for max-utility optimization")
-	budgetFraction := fs.Float64("budget-fraction", -1, "budget as a fraction of total monitor cost")
-	minCost := fs.Bool("min-cost", false, "minimize cost for a coverage target instead")
-	target := fs.Float64("target", 1.0, "global coverage target for -min-cost")
-	clamp := fs.Bool("clamp", false, "clamp -min-cost targets to achievable coverage")
+	spec := specFlags(fs)
+	fs.BoolVar(&spec.Clamp, "clamp", false, "clamp -min-cost targets to achievable coverage")
 	existing := fs.String("existing", "", "comma-separated monitors already deployed (incremental)")
+	fs.StringVar(&spec.Decompose, "decompose", "auto", "graph-partitioned decomposition solver: auto (on above the size threshold), on, off")
 	expanded := fs.Bool("expanded", false, "use the expanded per-(attack,evidence) formulation")
-	corroboration := fs.Int("corroboration", 1, "require every counted evidence item to be seen by k monitors")
 	failureProb := fs.Float64("failure-prob", 0, "optimize expected utility under per-monitor failure probability")
 	wUtility := fs.Float64("w-utility", 0, "multi-objective weight on utility")
 	wRichness := fs.Float64("w-richness", 0, "multi-objective weight on richness")
 	wRedundancy := fs.Float64("w-redundancy", 0, "multi-objective weight on redundancy")
 	savePath := fs.String("save", "", "write the resulting deployment as JSON to this file")
-	workers := fs.Int("workers", 0, "branch-and-bound workers (0 = GOMAXPROCS, 1 = one deterministic worker)")
-	kernel := fs.String("kernel", "", "LP simplex kernel: empty for auto (sparse LU for dual-start problems such as MinCost and for bases of 256+ rows, the eta file below that), sparse|lu (sparse LU with Forrest-Tomlin updates everywhere), eta (eta-file oracle) or dense (tableau oracle, cold solves only)")
-	decompose := fs.String("decompose", "auto", "graph-partitioned decomposition solver: auto (on above the size threshold), on, off")
-	certifyFlag := fs.Bool("certify", false, "emit a machine-checkable optimality certificate and verify it")
 	certifyOut := fs.String("certify-out", "", "write the certificate JSON to this file (implies -certify)")
 	deadline := fs.Duration("deadline", 0, "solve deadline; on expiry the best incumbent (or a heuristic fallback) is returned with its optimality gap")
 	profiles := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	spec.Certify = spec.Certify || *certifyOut != ""
+	if err := checkSpec(spec); err != nil {
+		return fmt.Errorf("optimize: %w", err)
 	}
 	stopProfiles, err := profiles.start()
 	if err != nil {
@@ -247,35 +281,14 @@ func cmdOptimize(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	spec.Existing = fixed.IDs()
+	if optimizeSpecHook != nil {
+		optimizeSpecHook(*spec)
+	}
 
-	var opts []core.Option
+	opts := spec.Options()
 	if *expanded {
 		opts = append(opts, core.WithExpandedFormulation())
-	}
-	if *clamp {
-		opts = append(opts, core.WithClampToAchievable())
-	}
-	if *corroboration > 1 {
-		opts = append(opts, core.WithCorroboration(*corroboration))
-	}
-	if *certifyOut != "" {
-		*certifyFlag = true
-	}
-	if *certifyFlag {
-		opts = append(opts, core.WithCertificate())
-	}
-	opts = append(opts, core.WithWorkers(*workers))
-	dopt, err := parseDecompose(*decompose)
-	if err != nil {
-		return err
-	}
-	opts = append(opts, dopt...)
-	k, err := parseKernel(*kernel)
-	if err != nil {
-		return err
-	}
-	if k != lp.KernelAuto {
-		opts = append(opts, core.WithKernel(k))
 	}
 	if *deadline > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *deadline)
@@ -284,42 +297,19 @@ func cmdOptimize(args []string, out io.Writer) error {
 	}
 	opt := core.NewOptimizer(idx, opts...)
 
-	weighted := *wUtility > 0 || *wRichness > 0 || *wRedundancy > 0
-
-	resolveBudget := func() (float64, error) {
-		b := *budget
-		if *budgetFraction >= 0 {
-			b = idx.System().TotalMonitorCost() * *budgetFraction
-		}
-		if b < 0 {
-			return 0, fmt.Errorf("optimize: provide -budget or -budget-fraction")
-		}
-		return b, nil
-	}
-
 	var res *core.Result
 	switch {
-	case *minCost:
-		res, err = opt.MinCostIncremental(core.CoverageTargets{Global: *target}, fixed)
-	case *failureProb > 0:
-		b, berr := resolveBudget()
-		if berr != nil {
-			return berr
-		}
+	case !spec.MinCost && *failureProb > 0:
 		var rres *core.RobustResult
-		rres, err = opt.MaxExpectedUtility(b, *failureProb)
+		rres, err = opt.MaxExpectedUtility(spec.BudgetOn(idx), *failureProb)
 		if err == nil {
 			fmt.Fprintf(out, "expected utility %.4f at per-monitor failure probability %.2f\n",
 				rres.ExpectedUtility, rres.FailureProb)
 			res = &rres.Result
 		}
-	case weighted:
-		b, berr := resolveBudget()
-		if berr != nil {
-			return berr
-		}
+	case !spec.MinCost && (*wUtility > 0 || *wRichness > 0 || *wRedundancy > 0):
 		var wres *core.WeightedResult
-		wres, err = opt.MaxWeighted(b, core.Objectives{
+		wres, err = opt.MaxWeighted(spec.BudgetOn(idx), core.Objectives{
 			Utility:    *wUtility,
 			Richness:   *wRichness,
 			Redundancy: *wRedundancy,
@@ -330,11 +320,7 @@ func cmdOptimize(args []string, out io.Writer) error {
 			res = &wres.Result
 		}
 	default:
-		var b float64
-		if b, err = resolveBudget(); err != nil {
-			return err
-		}
-		res, err = opt.MaxUtilityIncremental(b, fixed)
+		res, err = opt.Run(*spec)
 	}
 	if err != nil {
 		return err
@@ -363,14 +349,14 @@ func cmdOptimize(args []string, out io.Writer) error {
 		}
 		fmt.Fprintln(out)
 	}
-	if !*minCost {
+	if !spec.MinCost {
 		fmt.Fprintf(out, "budget shadow price: %.6f utility per cost unit (LP relaxation bound %.4f)\n",
 			res.BudgetShadowPrice, res.RelaxationUtility)
 	}
 	fmt.Fprintf(out, "solver: %d nodes, %d LP iterations, %s (%d workers)\n",
 		res.Stats.Nodes, res.Stats.LPIterations, res.Stats.Elapsed, res.Stats.Workers)
 	printSolverExtras(out, res.Stats)
-	if *certifyFlag {
+	if spec.Certify {
 		if err := reportCertificate(out, res, *certifyOut); err != nil {
 			return err
 		}
@@ -454,39 +440,6 @@ func printSolverExtras(out io.Writer, st core.SolveStats) {
 		if d.OracleFallbacks > 0 {
 			fmt.Fprintf(out, "decomposition: %d monolithic oracle fallbacks\n", d.OracleFallbacks)
 		}
-	}
-}
-
-// parseDecompose maps the -decompose flag to optimizer options; "auto" (the
-// default) defers to the optimizer's size threshold.
-func parseDecompose(mode string) ([]core.Option, error) {
-	switch mode {
-	case "auto":
-		return nil, nil
-	case "on":
-		return []core.Option{core.WithDecomposition()}, nil
-	case "off":
-		return []core.Option{core.WithoutDecomposition()}, nil
-	default:
-		return nil, fmt.Errorf("unknown -decompose %q (want auto, on or off)", mode)
-	}
-}
-
-// parseKernel maps the -kernel flag to an LP kernel selector; the empty
-// string defers to the solver default (auto dispatch between the LU and eta
-// sparse kernels; see lp.KernelAuto).
-func parseKernel(name string) (lp.Kernel, error) {
-	switch name {
-	case "":
-		return lp.KernelAuto, nil
-	case "sparse", "lu":
-		return lp.KernelLU, nil
-	case "eta":
-		return lp.KernelEta, nil
-	case "dense":
-		return lp.KernelDense, nil
-	default:
-		return lp.KernelAuto, fmt.Errorf("unknown -kernel %q (want sparse, lu, eta or dense)", name)
 	}
 }
 

@@ -41,14 +41,9 @@ func cmdMutate(args []string, out io.Writer) error {
 	tenant := fs.String("tenant", "", "tenant id (required)")
 	create := fs.Bool("create", false, "create the tenant before applying deltas")
 	modelPath := fs.String("model", "", "JSON system model for -create (default: case study)")
-	budget := fs.Float64("budget", -1, "max-utility budget for -create")
-	budgetFraction := fs.Float64("budget-fraction", -1, "budget as a fraction of total monitor cost for -create")
-	minCost := fs.Bool("min-cost", false, "create a min-cost tenant instead of max-utility")
-	target := fs.Float64("target", 1.0, "global coverage target for -min-cost")
-	corroboration := fs.Int("corroboration", 1, "require every counted evidence item to be seen by k monitors")
-	workers := fs.Int("workers", 1, "branch-and-bound workers (replay is bit-identical only at 1)")
-	kernel := fs.String("kernel", "", "LP simplex kernel: sparse or dense (default: solver's choice)")
-	certifyFlag := fs.Bool("certify", false, "emit and verify optimality certificates (disables solver-state reuse)")
+	// The tenant's spec for -create; replay is bit-identical only at one
+	// worker, and certified tenants never reuse solver state.
+	spec := specFlags(fs)
 	deltasFile := fs.String("deltas", "", "file holding a JSON array of deltas ('-' reads stdin)")
 	var deltas deltaFlags
 	fs.Var(&deltas, "delta", "one delta as a JSON object (repeatable; the batch commits atomically)")
@@ -86,25 +81,17 @@ func cmdMutate(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		spec := state.SolveSpec{
-			MinCost:       *minCost,
-			Target:        *target,
-			Corroboration: *corroboration,
-			Workers:       *workers,
-			Kernel:        *kernel,
-			Certify:       *certifyFlag,
+		if err := checkSpec(spec); err != nil {
+			return fmt.Errorf("mutate: -create: %w", err)
 		}
-		if !*minCost {
-			b := *budget
-			if *budgetFraction >= 0 {
-				b = idx.System().TotalMonitorCost() * *budgetFraction
-			}
-			if b < 0 {
-				return fmt.Errorf("mutate: -create needs -budget or -budget-fraction (or -min-cost)")
-			}
-			spec.Budget = b
+		ss := state.SolveSpec{MinCost: spec.MinCost, Corroboration: spec.Corroboration,
+			Workers: spec.Workers, Kernel: spec.Kernel, Certify: spec.Certify}
+		if spec.MinCost {
+			ss.Target = spec.Targets().Global
+		} else {
+			ss.Budget = spec.BudgetOn(idx)
 		}
-		tn, err = store.Create(*tenant, idx.System(), spec)
+		tn, err = store.Create(*tenant, idx.System(), ss)
 		if err != nil {
 			return fmt.Errorf("mutate: create %q: %w", *tenant, err)
 		}

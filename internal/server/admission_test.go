@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"secmon/internal/core"
 )
 
 // waitQueued polls until n live waiters are queued for admission.
@@ -87,7 +89,7 @@ func TestAdmissionOverflow(t *testing.T) {
 	sys := testSystem(t, 12, 6)
 	post := func(budget float64, done chan<- outcomePair) {
 		b := budget
-		resp, body := postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{System: sys, Budget: &b})
+		resp, body := postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{System: sys, Spec: core.Spec{Budget: &b}})
 		if done != nil {
 			done <- outcomePair{resp.StatusCode, body}
 		}
@@ -102,7 +104,7 @@ func TestAdmissionOverflow(t *testing.T) {
 
 	// Queue is at QueueDepth: this one must bounce straight off.
 	b := 40.0
-	resp, body := postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{System: sys, Budget: &b})
+	resp, body := postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{System: sys, Spec: core.Spec{Budget: &b}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow status = %d, body %s; want 429", resp.StatusCode, body)
 	}
@@ -144,7 +146,7 @@ func TestQueuedPastDeadline(t *testing.T) {
 	first := make(chan outcomePair, 1)
 	go func() {
 		b := 10.0
-		resp, body := postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{System: sys, Budget: &b})
+		resp, body := postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{System: sys, Spec: core.Spec{Budget: &b}})
 		first <- outcomePair{resp.StatusCode, body}
 	}()
 	// Wait for the first solve to be running (it holds the only slot).
@@ -160,7 +162,7 @@ func TestQueuedPastDeadline(t *testing.T) {
 	// frees. It must get a 408 without ever reaching the solver.
 	b2 := 20.0
 	resp, body := postJSON(t, ts.URL+"/v1/optimize",
-		OptimizeRequest{System: sys, Budget: &b2, DeadlineMillis: 50})
+		OptimizeRequest{System: sys, Spec: core.Spec{Budget: &b2}, DeadlineMillis: 50})
 	if resp.StatusCode != http.StatusRequestTimeout {
 		t.Fatalf("queued-past-deadline status = %d, body %s; want 408", resp.StatusCode, body)
 	}
@@ -172,7 +174,7 @@ func TestQueuedPastDeadline(t *testing.T) {
 	// The expired waiter must not have burned the freed slot: a new request
 	// is admitted and solves normally.
 	b3 := 30.0
-	resp, body = postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{System: sys, Budget: &b3})
+	resp, body = postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{System: sys, Spec: core.Spec{Budget: &b3}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-timeout request: status %d, body %s; want 200", resp.StatusCode, body)
 	}

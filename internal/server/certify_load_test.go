@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"secmon/internal/certify"
+	"secmon/internal/core"
 )
 
 func TestOptimizeCertify(t *testing.T) {
@@ -14,7 +15,7 @@ func TestOptimizeCertify(t *testing.T) {
 	sys := testSystem(t, 12, 6)
 	frac := 0.4
 	resp, body := postJSON(t, ts.URL+"/v1/optimize",
-		OptimizeRequest{System: sys, BudgetFraction: &frac, Certify: true})
+		OptimizeRequest{System: sys, Spec: core.Spec{BudgetFraction: &frac, Certify: true}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
@@ -33,7 +34,7 @@ func TestOptimizeCertify(t *testing.T) {
 
 	// Identical certified request: served from cache, proof still attached.
 	resp, body = postJSON(t, ts.URL+"/v1/optimize",
-		OptimizeRequest{System: sys, BudgetFraction: &frac, Certify: true})
+		OptimizeRequest{System: sys, Spec: core.Spec{BudgetFraction: &frac, Certify: true}})
 	if got := resp.Header.Get(cacheHeader); got != "hit" {
 		t.Fatalf("second certified request cache header %q, want hit", got)
 	}
@@ -44,7 +45,7 @@ func TestOptimizeCertify(t *testing.T) {
 	// An uncertified request of the same problem must NOT alias the
 	// certified cache entry.
 	resp, body = postJSON(t, ts.URL+"/v1/optimize",
-		OptimizeRequest{System: sys, BudgetFraction: &frac})
+		OptimizeRequest{System: sys, Spec: core.Spec{BudgetFraction: &frac}})
 	if got := resp.Header.Get(cacheHeader); got != "miss" {
 		t.Fatalf("uncertified request aliased the certified entry (header %q)", got)
 	}
@@ -73,11 +74,13 @@ func TestOptimizeCertifiedLoad(t *testing.T) {
 			sys := testSystem(t, systems[c%len(systems)], 6)
 			frac := 0.3 + 0.1*float64(c%3)
 			req := OptimizeRequest{
-				System:         sys,
-				BudgetFraction: &frac,
-				Certify:        c%2 == 0,
-				Kernel:         kernels[c%len(kernels)],
-				Workers:        1 + 3*(c%2),
+				System: sys,
+				Spec: core.Spec{
+					BudgetFraction: &frac,
+					Certify:        c%2 == 0,
+					Kernel:         kernels[c%len(kernels)],
+					Workers:        1 + 3*(c%2),
+				},
 				DeadlineMillis: int64(2000 + 500*(c%3)),
 			}
 			resp, body := postJSON(t, ts.URL+"/v1/optimize", req)

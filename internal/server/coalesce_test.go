@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"secmon/internal/core"
 )
 
 func jsonDecode(resp *http.Response, into any) error {
@@ -39,7 +41,7 @@ func TestCoalesceSingleSolve(t *testing.T) {
 
 	sys := testSystem(t, 12, 6)
 	budget := 20.0
-	req := OptimizeRequest{System: sys, Budget: &budget}
+	req := OptimizeRequest{System: sys, Spec: core.Spec{Budget: &budget}}
 
 	type outcome struct {
 		status int
@@ -114,7 +116,7 @@ func TestCoalesceFollowerDeadline(t *testing.T) {
 	leaderDone := make(chan outcomePair, 1)
 	go func() {
 		resp, body := postJSON(t, ts.URL+"/v1/optimize",
-			OptimizeRequest{System: sys, Budget: &budget, DeadlineMillis: 60_000})
+			OptimizeRequest{System: sys, Spec: core.Spec{Budget: &budget}, DeadlineMillis: 60_000})
 		leaderDone <- outcomePair{resp.StatusCode, body}
 	}()
 	if leader := <-joined; !leader {
@@ -123,7 +125,7 @@ func TestCoalesceFollowerDeadline(t *testing.T) {
 
 	// Follower with a 50ms deadline: must 408 without touching the leader.
 	resp, body := postJSON(t, ts.URL+"/v1/optimize",
-		OptimizeRequest{System: sys, Budget: &budget, DeadlineMillis: 50})
+		OptimizeRequest{System: sys, Spec: core.Spec{Budget: &budget}, DeadlineMillis: 50})
 	if resp.StatusCode != http.StatusRequestTimeout {
 		t.Fatalf("follower status = %d, body %s; want 408", resp.StatusCode, body)
 	}
@@ -223,8 +225,8 @@ func TestStatsEndpoint(t *testing.T) {
 
 	sys := testSystem(t, 12, 6)
 	budget := 20.0
-	postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{System: sys, Budget: &budget, Tenant: "acme"})
-	postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{System: sys, Budget: &budget, Tenant: "acme"})
+	postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{System: sys, Spec: core.Spec{Budget: &budget}, Tenant: "acme"})
+	postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{System: sys, Spec: core.Spec{Budget: &budget}, Tenant: "acme"})
 
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -258,8 +260,10 @@ func TestCoalescedLeaderRechecksCache(t *testing.T) {
 		kind, path string
 		req        any
 	}{
-		{"optimize", "/v1/optimize", &OptimizeRequest{System: sys, Budget: &budget}},
-		{"sweep", "/v1/sweep", &SweepRequest{System: sys, Steps: 3}},
+		{"optimize", "/v1/optimize", &OptimizeRequest{System: sys, Spec: core.Spec{Budget: &budget}}},
+		// The handler keys a sweep after resolving its seed and solver
+		// worker defaults; spelling them out gives the test that key.
+		{"sweep", "/v1/sweep", &SweepRequest{System: sys, Steps: 3, Seed: 1, SolverWorkers: 1}},
 		{"simulate", "/v1/simulate", &SimulateRequest{All: true, Seed: 7, Trials: 200, Warmup: 20}},
 	} {
 		s := New(Config{})

@@ -27,7 +27,6 @@ import (
 	"secmon/internal/casestudy"
 	"secmon/internal/certify"
 	"secmon/internal/core"
-	"secmon/internal/lp"
 	"secmon/internal/model"
 	"secmon/internal/state"
 )
@@ -226,47 +225,15 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 }
 
 // OptimizeRequest is the body of POST /v1/optimize. Omitting the system
-// selects the built-in enterprise Web service case study. Exactly one of
-// budget / budgetFraction is required unless minCost is set.
+// selects the built-in enterprise Web service case study. The embedded
+// core.Spec is the request (minCost, budget, budgetFraction, target, clamp,
+// corroboration, existing, workers, kernel, certify, decompose; zero workers
+// runs one). It is validated before the cache lookup and admission, and its
+// canonical form keys the cache and coalescing with the system, so two
+// spellings of one solve share an entry while different settings never do.
 type OptimizeRequest struct {
 	System *model.System `json:"system,omitempty"`
-	// MinCost switches from budgeted utility maximization to cheapest
-	// deployment meeting the coverage target.
-	MinCost bool `json:"minCost,omitempty"`
-	// Budget is the absolute spending cap for max-utility optimization.
-	Budget *float64 `json:"budget,omitempty"`
-	// BudgetFraction expresses the budget as a fraction of the system's
-	// total monitor cost; it wins over Budget when both are set.
-	BudgetFraction *float64 `json:"budgetFraction,omitempty"`
-	// Target is the global coverage target for minCost (default 1).
-	Target *float64 `json:"target,omitempty"`
-	// Clamp clamps minCost targets to the achievable coverage.
-	Clamp bool `json:"clamp,omitempty"`
-	// Corroboration requires every counted evidence item to be produced by
-	// at least k deployed monitors.
-	Corroboration int `json:"corroboration,omitempty"`
-	// Existing lists already-deployed monitors to keep (incremental mode).
-	Existing []model.MonitorID `json:"existing,omitempty"`
-	// Workers is the branch-and-bound worker count (0 = GOMAXPROCS,
-	// 1 = one deterministic worker).
-	Workers int `json:"workers,omitempty"`
-	// Kernel pins the LP simplex kernel: empty for auto dispatch (the
-	// default), "sparse"/"lu" (sparse LU factorization with Forrest-Tomlin
-	// updates), "eta" (the retained eta-file kernel) or "dense" (the
-	// tableau correctness oracle, which solves every relaxation cold). It
-	// participates in the solution cache key, so results computed by
-	// different kernels never alias.
-	Kernel string `json:"kernel,omitempty"`
-	// Certify makes the solve emit a machine-checkable optimality
-	// certificate, echoed in the result and verified server-side before the
-	// response is cached. It participates in the cache key, so certified and
-	// uncertified solves of the same problem never alias.
-	Certify bool `json:"certify,omitempty"`
-	// Decompose selects the graph-partitioned decomposition solver: ""/
-	// "auto" (on above the optimizer's size threshold), "on" or "off". It
-	// participates in the cache key, so decomposed and monolithic solves of
-	// the same problem never alias.
-	Decompose string `json:"decompose,omitempty"`
+	core.Spec
 	// Tenant tags the request for fair admission: solve slots are dispensed
 	// round-robin across tenants (weighted by Config.TenantWeights), FIFO
 	// within one. Empty selects the shared default pool. The tenant does
@@ -301,7 +268,8 @@ type SweepRequest struct {
 	// Seed drives the random baseline (default 1).
 	Seed int64 `json:"seed,omitempty"`
 	// Workers is the number of concurrent budget points (0 = GOMAXPROCS);
-	// SolverWorkers is the branch-and-bound worker count per solve.
+	// SolverWorkers is the branch-and-bound worker count per solve (default
+	// 1, one deterministic worker).
 	Workers       int `json:"workers,omitempty"`
 	SolverWorkers int `json:"solverWorkers,omitempty"`
 	// Tenant tags the request for fair admission; see
@@ -364,6 +332,7 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, core.ErrBadBudget),
 		errors.Is(err, core.ErrBadTarget),
+		errors.Is(err, core.ErrBadSpec),
 		errors.Is(err, core.ErrUnknownMonitor):
 		return http.StatusBadRequest
 	case errors.Is(err, core.ErrInfeasible):
@@ -402,6 +371,26 @@ func (s *Server) solveContext(r *http.Request, deadlineMillis int64) (context.Co
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	return ctx, cancel, d.Milliseconds()
+}
+
+// serveKeyed answers a decoded request keyed by kind and keyReq (which
+// holds no deadline or tenant): from the response cache on a hit, else by
+// compute through the flight group under the request's own deadline.
+func (s *Server) serveKeyed(w http.ResponseWriter, r *http.Request, kind string, keyReq any, deadlineMillis int64,
+	compute func(ctx context.Context, key string, appliedMillis int64) reply) {
+	key, err := requestKey(kind, keyReq)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if body, ok := s.cache.get(key); ok {
+		s.stats.cacheHits.Add(1)
+		writeJSON(w, http.StatusOK, "hit", body)
+		return
+	}
+	ctx, cancel, appliedMillis := s.solveContext(r, deadlineMillis)
+	defer cancel()
+	s.coalesced(w, ctx, key, func() reply { return compute(ctx, key, appliedMillis) })
 }
 
 // coalesced serves one request through the flight group: the first request
@@ -514,81 +503,29 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-
-	// The cache and coalescing key deliberately excludes the deadline and
-	// the tenant: only proven (deadline-independent) results are stored or
-	// shared, so any deadline variant of the same problem from any tenant
-	// can ride the same entry or in-flight solve.
-	keyReq := req
-	keyReq.DeadlineMillis = 0
-	keyReq.Tenant = ""
-	key, err := requestKey("optimize", &keyReq)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if body, ok := s.cache.get(key); ok {
-		s.stats.cacheHits.Add(1)
-		writeJSON(w, http.StatusOK, "hit", body)
+	if err := req.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("optimize: %w", err))
 		return
 	}
 
-	ctx, cancel, appliedMillis := s.solveContext(r, req.DeadlineMillis)
-	defer cancel()
-	s.coalesced(w, ctx, key, func() reply {
-		return s.solveOptimize(ctx, &req, key, appliedMillis)
-	})
+	// The cache and coalescing key is the system and the canonical spec. It
+	// deliberately excludes the deadline and the tenant: only proven
+	// (deadline-independent) results are stored or shared, so any deadline
+	// variant of the same problem from any tenant can ride the same entry
+	// or in-flight solve.
+	s.serveKeyed(w, r, "optimize", &OptimizeRequest{System: req.System, Spec: req.Canonical()}, req.DeadlineMillis,
+		func(ctx context.Context, key string, appliedMillis int64) reply {
+			return s.solveOptimize(ctx, &req, key, appliedMillis)
+		})
 }
 
-// solveOptimize runs one /v1/optimize solve end to end — admission, solver
-// construction, the solve itself, certificate verification and cache fill —
+// solveOptimize runs one validated /v1/optimize solve end to end —
+// admission, the solve itself, certificate verification and cache fill —
 // and returns the materialized response.
 func (s *Server) solveOptimize(ctx context.Context, req *OptimizeRequest, key string, appliedMillis int64) reply {
 	idx, err := indexFor(req.System)
 	if err != nil {
 		return errReply(http.StatusBadRequest, err)
-	}
-	fixed := model.NewDeployment()
-	for _, id := range req.Existing {
-		fixed.Add(id)
-	}
-	opts := []core.Option{core.WithContext(ctx), core.WithWorkers(req.Workers)}
-	switch req.Kernel {
-	case "":
-	case "sparse", "lu":
-		opts = append(opts, core.WithKernel(lp.KernelLU))
-	case "eta":
-		opts = append(opts, core.WithKernel(lp.KernelEta))
-	case "dense":
-		opts = append(opts, core.WithDenseKernel())
-	default:
-		return errReply(http.StatusBadRequest,
-			fmt.Errorf("optimize: unknown kernel %q (want sparse, lu, eta or dense)", req.Kernel))
-	}
-	if req.Clamp {
-		opts = append(opts, core.WithClampToAchievable())
-	}
-	if req.Corroboration > 1 {
-		opts = append(opts, core.WithCorroboration(req.Corroboration))
-	}
-	if req.Certify {
-		opts = append(opts, core.WithCertificate())
-	}
-	switch req.Decompose {
-	case "", "auto":
-	case "on":
-		opts = append(opts, core.WithDecomposition())
-	case "off":
-		opts = append(opts, core.WithoutDecomposition())
-	default:
-		return errReply(http.StatusBadRequest,
-			fmt.Errorf("optimize: unknown decompose %q (want auto, on or off)", req.Decompose))
-	}
-	if !req.MinCost {
-		if req.Budget == nil && req.BudgetFraction == nil {
-			return errReply(http.StatusBadRequest,
-				errors.New("optimize: provide budget or budgetFraction"))
-		}
 	}
 
 	release, rejected := s.admit(ctx, req.Tenant)
@@ -603,24 +540,7 @@ func (s *Server) solveOptimize(ctx context.Context, req *OptimizeRequest, key st
 	}
 	s.stats.solves.Add(1)
 
-	opt := core.NewOptimizer(idx, opts...)
-	var res *core.Result
-	if req.MinCost {
-		target := 1.0
-		if req.Target != nil {
-			target = *req.Target
-		}
-		res, err = opt.MinCostIncremental(core.CoverageTargets{Global: target}, fixed)
-	} else {
-		budget := -1.0
-		if req.Budget != nil {
-			budget = *req.Budget
-		}
-		if req.BudgetFraction != nil {
-			budget = idx.System().TotalMonitorCost() * *req.BudgetFraction
-		}
-		res, err = opt.MaxUtilityIncremental(budget, fixed)
-	}
+	res, err := core.NewOptimizer(idx, append(req.Options(), core.WithContext(ctx))...).Run(req.Spec)
 	if err != nil {
 		return errReply(statusFor(err), err)
 	}
@@ -662,26 +582,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	// Resolve the defaults before any key is built, so an omitted seed or
+	// solver worker count and its explicit default share every cache entry.
+	if req.Seed == 0 {
+		req.Seed = 1
+	}
+	if req.SolverWorkers == 0 {
+		req.SolverWorkers = 1
+	}
 
 	keyReq := req
 	keyReq.DeadlineMillis = 0
 	keyReq.Tenant = ""
-	key, err := requestKey("sweep", &keyReq)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if body, ok := s.cache.get(key); ok {
-		s.stats.cacheHits.Add(1)
-		writeJSON(w, http.StatusOK, "hit", body)
-		return
-	}
-
-	ctx, cancel, appliedMillis := s.solveContext(r, req.DeadlineMillis)
-	defer cancel()
-	s.coalesced(w, ctx, key, func() reply {
-		return s.solveSweep(ctx, &req, key, appliedMillis)
-	})
+	s.serveKeyed(w, r, "sweep", &keyReq, req.DeadlineMillis,
+		func(ctx context.Context, key string, appliedMillis int64) reply {
+			return s.solveSweep(ctx, &req, key, appliedMillis)
+		})
 }
 
 // solveSweep runs one /v1/sweep end to end. The request hash work is
@@ -704,14 +620,6 @@ func (s *Server) solveSweep(ctx context.Context, req *SweepRequest, key string, 
 			steps = 10
 		}
 		budgets = core.BudgetGrid(idx, steps)
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	solverWorkers := req.SolverWorkers
-	if solverWorkers == 0 {
-		solverWorkers = 1
 	}
 
 	points := make([]core.SweepPoint, len(budgets))
@@ -743,7 +651,7 @@ func (s *Server) solveSweep(ctx context.Context, req *SweepRequest, key string, 
 		s.stats.sweepPointHits.Add(int64(pointHits))
 	}
 
-	opt := core.NewOptimizer(idx, core.WithContext(ctx), core.WithWorkers(solverWorkers))
+	opt := core.NewOptimizer(idx, core.WithContext(ctx), core.WithWorkers(req.SolverWorkers))
 	if missing > 0 {
 		release, rejected := s.admit(ctx, req.Tenant)
 		if rejected != nil {
@@ -765,9 +673,9 @@ func (s *Server) solveSweep(ctx context.Context, req *SweepRequest, key string, 
 		}
 		var solved []core.SweepPoint
 		if s.cfg.DisableSweepWarm {
-			solved, err = opt.ParetoSweepParallel(missingBudgets, seed, req.Workers)
+			solved, err = opt.ParetoSweepParallel(missingBudgets, req.Seed, req.Workers)
 		} else {
-			solved, err = opt.ParetoSweepWarm(missingBudgets, seed, req.Workers)
+			solved, err = opt.ParetoSweepWarm(missingBudgets, req.Seed, req.Workers)
 		}
 		if err != nil {
 			return errReply(statusFor(err), err)

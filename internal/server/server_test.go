@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"secmon/internal/core"
 	"secmon/internal/model"
 	"secmon/internal/synth"
 )
@@ -65,7 +66,7 @@ func TestOptimizeEndpoint(t *testing.T) {
 	sys := testSystem(t, 12, 6)
 	frac := 0.4
 	resp, body := postJSON(t, ts.URL+"/v1/optimize",
-		OptimizeRequest{System: sys, BudgetFraction: &frac})
+		OptimizeRequest{System: sys, Spec: core.Spec{BudgetFraction: &frac}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
@@ -85,7 +86,7 @@ func TestOptimizeDefaultSystem(t *testing.T) {
 	// Omitting the system selects the built-in case study.
 	ts := newTestServer(t, Config{})
 	frac := 0.5
-	resp, body := postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{BudgetFraction: &frac})
+	resp, body := postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{Spec: core.Spec{BudgetFraction: &frac}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
@@ -98,7 +99,7 @@ func TestOptimizeCache(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	sys := testSystem(t, 12, 6)
 	frac := 0.4
-	req := OptimizeRequest{System: sys, BudgetFraction: &frac}
+	req := OptimizeRequest{System: sys, Spec: core.Spec{BudgetFraction: &frac}}
 
 	_, first := postJSON(t, ts.URL+"/v1/optimize", req)
 	resp, second := postJSON(t, ts.URL+"/v1/optimize", req)
@@ -120,7 +121,7 @@ func TestOptimizeCache(t *testing.T) {
 	// A different budget misses.
 	otherFrac := 0.6
 	resp, _ = postJSON(t, ts.URL+"/v1/optimize",
-		OptimizeRequest{System: sys, BudgetFraction: &otherFrac})
+		OptimizeRequest{System: sys, Spec: core.Spec{BudgetFraction: &otherFrac}})
 	if got := resp.Header.Get(cacheHeader); got != "miss" {
 		t.Errorf("different-budget cache header = %q, want miss", got)
 	}
@@ -133,7 +134,7 @@ func TestOptimizeDeadlineAnytime(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	sys := testSystem(t, 400, 100)
 	frac := 0.3
-	req := OptimizeRequest{System: sys, BudgetFraction: &frac, DeadlineMillis: 50}
+	req := OptimizeRequest{System: sys, Spec: core.Spec{BudgetFraction: &frac}, DeadlineMillis: 50}
 	resp, body := postJSON(t, ts.URL+"/v1/optimize", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
@@ -170,7 +171,7 @@ func TestOptimizeConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			frac := 0.2 + 0.05*float64(i%5)
-			req := OptimizeRequest{System: sys, BudgetFraction: &frac}
+			req := OptimizeRequest{System: sys, Spec: core.Spec{BudgetFraction: &frac}}
 			body, err := json.Marshal(req)
 			if err != nil {
 				errs <- err
@@ -225,7 +226,7 @@ func TestOptimizeBadRequests(t *testing.T) {
 
 	neg := -3.0
 	resp4, body := postJSON(t, ts.URL+"/v1/optimize",
-		OptimizeRequest{System: sys, Budget: &neg})
+		OptimizeRequest{System: sys, Spec: core.Spec{Budget: &neg}})
 	if resp4.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative-budget status = %d, body %s", resp4.StatusCode, body)
 	}
@@ -297,7 +298,7 @@ func TestServeGracefulDrain(t *testing.T) {
 
 	sys := testSystem(t, 400, 100)
 	frac := 0.3
-	req := OptimizeRequest{System: sys, BudgetFraction: &frac, DeadlineMillis: 400}
+	req := OptimizeRequest{System: sys, Spec: core.Spec{BudgetFraction: &frac}, DeadlineMillis: 400}
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +362,7 @@ func TestOptimizeDecompose(t *testing.T) {
 	}
 	frac := 0.3
 	resp, body := postJSON(t, ts.URL+"/v1/optimize",
-		OptimizeRequest{System: sys, BudgetFraction: &frac, Decompose: "on"})
+		OptimizeRequest{System: sys, Spec: core.Spec{BudgetFraction: &frac, Decompose: "on"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("decompose on: status = %d, body %s", resp.StatusCode, body)
 	}
@@ -377,7 +378,7 @@ func TestOptimizeDecompose(t *testing.T) {
 	}
 
 	resp, body = postJSON(t, ts.URL+"/v1/optimize",
-		OptimizeRequest{System: sys, BudgetFraction: &frac, Decompose: "off"})
+		OptimizeRequest{System: sys, Spec: core.Spec{BudgetFraction: &frac, Decompose: "off"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("decompose off: status = %d, body %s", resp.StatusCode, body)
 	}
@@ -396,7 +397,7 @@ func TestOptimizeDecompose(t *testing.T) {
 	}
 
 	resp, body = postJSON(t, ts.URL+"/v1/optimize",
-		OptimizeRequest{System: sys, BudgetFraction: &frac, Decompose: "sideways"})
+		OptimizeRequest{System: sys, Spec: core.Spec{BudgetFraction: &frac, Decompose: "sideways"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad decompose: status = %d, body %s", resp.StatusCode, body)
 	}

@@ -91,22 +91,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	keyReq := req
 	keyReq.DeadlineMillis = 0
 	keyReq.Tenant = ""
-	key, err := requestKey("simulate", &keyReq)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if body, ok := s.cache.get(key); ok {
-		s.stats.cacheHits.Add(1)
-		writeJSON(w, http.StatusOK, "hit", body)
-		return
-	}
-
-	ctx, cancel, appliedMillis := s.solveContext(r, req.DeadlineMillis)
-	defer cancel()
-	s.coalesced(w, ctx, key, func() reply {
-		return s.runSimulate(ctx, &req, key, appliedMillis)
-	})
+	s.serveKeyed(w, r, "simulate", &keyReq, req.DeadlineMillis,
+		func(ctx context.Context, key string, appliedMillis int64) reply {
+			return s.runSimulate(ctx, &req, key, appliedMillis)
+		})
 }
 
 // runSimulate executes one /v1/simulate replay end to end — admission, the

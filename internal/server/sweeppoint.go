@@ -23,20 +23,13 @@ type sweepPointKeyFields struct {
 
 // sweepPointPrefix hashes the point-relevant request fields once per sweep;
 // individual point keys append only the budget, so an N-point sweep pays
-// for one request hash rather than N.
+// for one request hash rather than N. The handler has already resolved the
+// seed and solver-worker defaults.
 func sweepPointPrefix(req *SweepRequest) (string, error) {
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	solverWorkers := req.SolverWorkers
-	if solverWorkers == 0 {
-		solverWorkers = 1
-	}
 	return requestKey("sweep-point", &sweepPointKeyFields{
 		System:        req.System,
-		Seed:          seed,
-		SolverWorkers: solverWorkers,
+		Seed:          req.Seed,
+		SolverWorkers: req.SolverWorkers,
 	})
 }
 

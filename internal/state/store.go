@@ -204,11 +204,8 @@ func (t *Tenant) replayBatch(deltas []Delta, seq uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := spec.validate(); err != nil {
-		return err
-	}
 	t.seq = seq
-	_, err = t.applyCommitted(sys, spec, newOptimizer(idx, spec))
+	_, err = t.applyCommitted(sys, spec, core.NewOptimizer(idx, spec.CoreSpec().Options()...))
 	return err
 }
 
@@ -243,7 +240,8 @@ func (t *Tenant) truncateTo(seq uint64) error {
 // newTenant builds a live tenant around a system and spec and runs the
 // initial solve, so Last is populated from the moment the tenant exists.
 func (s *Store) newTenant(id string, sys *model.System, spec SolveSpec, log *tlog) (*Tenant, error) {
-	if err := spec.validate(); err != nil {
+	cs := spec.CoreSpec()
+	if err := cs.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	clone := sys.Clone()
@@ -257,7 +255,7 @@ func (s *Store) newTenant(id string, sys *model.System, spec SolveSpec, log *tlo
 		stats: &s.stats,
 		sys:   clone,
 		spec:  spec,
-		opt:   newOptimizer(idx, spec),
+		opt:   core.NewOptimizer(idx, cs.Options()...),
 		log:   log,
 		seq:   1,
 	}

@@ -6,28 +6,35 @@ import (
 	"sync"
 
 	"secmon/internal/core"
-	"secmon/internal/lp"
 	"secmon/internal/model"
 )
 
 // SolveSpec pins how a tenant's model is solved on every mutation. It is
 // written into the log's init record and never changes except through the
 // update-budget delta, so replay reproduces the exact same solve sequence.
+// It is the tenant log's wire format: a record is accepted only when it
+// re-encodes byte for byte, so its fields, their order, their tags and
+// their zero-value meanings are fixed. CoreSpec turns it into the
+// core.Spec every solve runs.
 type SolveSpec struct {
 	// MinCost selects minimum-cost covering; the default is MaxUtility.
 	MinCost bool `json:"minCost,omitempty"`
-	// Budget is the MaxUtility budget (ignored for MinCost).
+	// Budget is the absolute MaxUtility budget (ignored for MinCost); an
+	// omitted budget is a budget of 0.
 	Budget float64 `json:"budget,omitempty"`
-	// Target is the MinCost global coverage target in [0, 1].
+	// Target is the MinCost global coverage target in [0, 1] (ignored for
+	// MaxUtility); an omitted target is a target of 0.
 	Target float64 `json:"target,omitempty"`
-	// Corroboration is the independent-evidence requirement (default 1).
+	// Corroboration is the independent-evidence requirement (0 and 1 both
+	// mean one monitor).
 	Corroboration int `json:"corroboration,omitempty"`
-	// Workers is the branch-and-bound worker count (default 1). Replay is
-	// guaranteed bit-identical only at one worker; parallel search may
-	// report a different member of an exact tie.
+	// Workers is the branch-and-bound worker count (0 and 1 both mean one).
+	// Replay is guaranteed bit-identical only at one worker; parallel
+	// search may report a different member of an exact tie.
 	Workers int `json:"workers,omitempty"`
-	// Kernel pins the LP kernel: "" (auto dispatch), "sparse" or "dense"
-	// (the tableau oracle, which solves every relaxation cold).
+	// Kernel pins the LP kernel, as core.Spec.Kernel: "" (auto dispatch),
+	// "lu" or its alias "sparse", "eta", or "dense" (the tableau oracle,
+	// which solves every relaxation cold).
 	Kernel string `json:"kernel,omitempty"`
 	// Certify requests machine-checkable certificates. Certified tenants
 	// never reuse solver state: every mutation runs the full audited
@@ -35,26 +42,18 @@ type SolveSpec struct {
 	Certify bool `json:"certify,omitempty"`
 }
 
-func (s SolveSpec) validate() error {
+// CoreSpec is the core.Spec the tenant spec solves: the budget for a
+// MaxUtility tenant or the target for a MinCost one, always explicit, and
+// the solver settings as given.
+func (s SolveSpec) CoreSpec() core.Spec {
+	cs := core.Spec{MinCost: s.MinCost, Corroboration: s.Corroboration,
+		Workers: s.Workers, Kernel: s.Kernel, Certify: s.Certify}
 	if s.MinCost {
-		if s.Target < 0 || s.Target > 1 {
-			return fmt.Errorf("state: target %v outside [0, 1]", s.Target)
-		}
-	} else if s.Budget < 0 || !finite(s.Budget) {
-		return fmt.Errorf("state: bad budget %v", s.Budget)
+		cs.Target = &s.Target
+	} else {
+		cs.Budget = &s.Budget
 	}
-	switch s.Kernel {
-	case "", "sparse", "dense":
-	default:
-		return fmt.Errorf("state: unknown kernel %q", s.Kernel)
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("state: bad workers %d", s.Workers)
-	}
-	if s.Corroboration < 0 {
-		return fmt.Errorf("state: bad corroboration %d", s.Corroboration)
-	}
-	return nil
+	return cs
 }
 
 // Tenant is one live model: the current system, its solve spec, the last
@@ -108,40 +107,10 @@ func (t *Tenant) Version() uint64 {
 	return t.seq
 }
 
-// newOptimizer builds the core optimizer the spec calls for on an index.
-func newOptimizer(idx *model.Index, spec SolveSpec) *core.Optimizer {
-	opts := []core.Option{}
-	if spec.Workers > 0 {
-		opts = append(opts, core.WithWorkers(spec.Workers))
-	} else {
-		opts = append(opts, core.WithWorkers(1))
-	}
-	if spec.Corroboration > 1 {
-		opts = append(opts, core.WithCorroboration(spec.Corroboration))
-	}
-	switch spec.Kernel {
-	case "dense":
-		opts = append(opts, core.WithDenseKernel())
-	case "sparse":
-		opts = append(opts, core.WithKernel(lp.KernelSparse))
-	}
-	if spec.Certify {
-		opts = append(opts, core.WithCertificate())
-	}
-	return core.NewOptimizer(idx, opts...)
-}
-
 // solveWarm runs the spec's solve through the warm entry points, threading
 // the prior chain.
 func (t *Tenant) solveWarm() (*core.Result, error) {
-	var res *core.Result
-	var next *core.Prior
-	var err error
-	if t.spec.MinCost {
-		res, next, err = t.opt.MinCostWarm(core.CoverageTargets{Global: t.spec.Target}, t.prior)
-	} else {
-		res, next, err = t.opt.MaxUtilityWarm(t.spec.Budget, t.prior)
-	}
+	res, next, err := t.opt.RunWarm(t.spec.CoreSpec(), t.prior)
 	if err != nil {
 		return nil, err
 	}
@@ -195,10 +164,9 @@ func (t *Tenant) Mutate(deltas []Delta) (*core.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: mutated model invalid: %w", ErrInvalid, err)
 	}
-	if err := spec.validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
-	}
-	opt := newOptimizer(idx, spec)
+	// The spec passed Validate when the tenant was created, and the one
+	// delta that changes it (update-budget) refuses a bad budget.
+	opt := core.NewOptimizer(idx, spec.CoreSpec().Options()...)
 	if spec.MinCost {
 		// A batch that makes the covering targets unreachable is rejected
 		// before the commit point: the log must only ever hold states every
@@ -477,13 +445,9 @@ func (t *Tenant) SolveScratch() (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := newOptimizer(idx, spec)
-	var res *core.Result
-	if spec.MinCost {
-		res, err = opt.MinCost(core.CoverageTargets{Global: spec.Target})
-	} else {
-		res, err = opt.MaxUtility(spec.Budget)
-	}
+	cs := spec.CoreSpec()
+	opt := core.NewOptimizer(idx, cs.Options()...)
+	res, err := opt.Run(cs)
 	if err != nil {
 		return nil, err
 	}

@@ -159,7 +159,7 @@ func checkEquivalent(t testing.TB, label string, tn *Tenant, inc, scr *core.Resu
 	if err != nil {
 		t.Fatalf("%s: index: %v", label, err)
 	}
-	opt := newOptimizer(idx, spec)
+	opt := core.NewOptimizer(idx, spec.CoreSpec().Options()...)
 	dInc, dScr := mustSet(inc.Monitors), mustSet(scr.Monitors)
 
 	// The equivalence objective is what the ILP actually optimizes —

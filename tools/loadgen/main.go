@@ -46,6 +46,7 @@ import (
 	"sync"
 	"time"
 
+	"secmon/internal/core"
 	"secmon/internal/model"
 	"secmon/internal/server"
 	"secmon/internal/synth"
@@ -336,7 +337,7 @@ func buildSchedule(seed int64, total int, rate, burst, identicalFrac float64, te
 				b := total100 * (0.05 + 0.9*rng.Float64())
 				a = arrival{at: at, kind: "optimize", body: mustMarshal(server.OptimizeRequest{
 					System:         sys,
-					Budget:         &b,
+					Spec:           core.Spec{Budget: &b},
 					Tenant:         tenant,
 					DeadlineMillis: deadlineMillis,
 				})}
